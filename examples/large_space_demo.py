@@ -13,9 +13,9 @@ materializing the full candidate table:
   constraints, and prunes the rest *before* any column is built (the
   admitted set is always a prefix of the count axis, found by binary
   search on the exact engine-identical area formula);
-* a :class:`StreamingFrontier` and a running top-k fold each chunk into
-  bounded state — the final frontier is bit-identical to the in-memory
-  engine's, whatever the chunk size or order;
+* a :class:`StreamingFrontier` folds each chunk into bounded state — the
+  final frontier is bit-identical to the in-memory engine's, whatever the
+  chunk size or order;
 * the admitted-prefix masks are cached by *shape* knobs only, so a
   re-exploration that changes a per-run knob (frame size, fps floor)
   skips the admission pass entirely and re-costs only the admitted rows;
@@ -74,8 +74,7 @@ def main() -> None:
     started = time.perf_counter()
     streamed = explore_stream(space, characterizations,
                               explorer.throughput_model, 1024, 768,
-                              constraints, usable, chunk_rows=CHUNK_ROWS,
-                              top_k=5)
+                              constraints, usable, chunk_rows=CHUNK_ROWS)
     elapsed = time.perf_counter() - started
     print(f"streamed in {elapsed * 1000:.0f} ms "
           f"({streamed.space_rows / elapsed:,.0f} candidates/s): "
@@ -87,10 +86,11 @@ def main() -> None:
           f"process peak RSS {peak_rss_mb():.0f} MB")
     print()
 
-    # 3. the running top-k gives the k fastest feasible designs without
-    #    keeping anything but k triples around
-    print("5 fastest feasible architectures (running top-k):")
-    for point in streamed.top_points:
+    # 3. the frontier is ordered by increasing area, so its tail holds the
+    #    fastest feasible designs: the fastest admitted point is always the
+    #    frontier's last member
+    print("5 fastest Pareto-optimal architectures:")
+    for point in reversed(streamed.pareto[-5:]):
         print(f"  {point.architecture.label():<24} "
               f"{point.frames_per_second:8.1f} fps  "
               f"{point.area_luts:10.0f} LUTs")

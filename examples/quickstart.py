@@ -272,8 +272,9 @@ def main() -> None:
     # 11. validation: simulate the cone pipeline on real frames and compare
     #     against the golden whole-frame model.  Interior pixels (those
     #     whose dependency cone never touches the frame border) must match
-    #     exactly; the result also re-checks the vectorized simulator
-    #     against its preserved scalar oracle.  The same evidence is
+    #     exactly; the result also re-checks the vectorized simulator bit
+    #     for bit against its scalar walk (``run_scalar``) on a cropped
+    #     frame.  The same evidence is
     #     available as a service job class: client.submit(w, job="validate")
     #     or `python -m repro validate blur --frames 640x480`.
     report = session.validate(

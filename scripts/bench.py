@@ -23,11 +23,11 @@ runs the batch twice against a persistent :class:`repro.api.ArtifactStore`
 directory and records the cold-vs-warm comparison under ``store_demo`` (the
 warm pass must perform zero synthesis runs).
 
-The snapshot also records a ``columnar_vs_scalar`` section (skip with
-``--skip-columnar``): the paper-scale IGF exploration timed through the
-columnar engine (:mod:`repro.dse.engine`) and through the legacy scalar
-explorer loop, with the speedup and a digest check proving the two produce
-byte-identical serialized results.
+The snapshot also records an ``oracle_vs_engine`` section (skip with
+``--skip-oracle``): the paper-scale IGF exploration timed through the
+columnar engine (:mod:`repro.dse.engine`) and through the per-point scalar
+oracle (``tests/oracles/scalar_explorer.py``), with the speedup and a
+digest check proving the two produce byte-identical serialized results.
 
 And an ``executor_scaling`` section (skip with ``--skip-scaling``): the cold 4-kernel scaling batch run through every
 built-in ``Session.run_many`` strategy — ``serial``, ``threads``, and
@@ -234,8 +234,8 @@ def run_executor_scaling(jobs=None) -> dict:
     }
 
 
-def run_columnar_vs_scalar(repeats=5) -> dict:
-    """Time the columnar engine against the legacy scalar explorer loop.
+def run_oracle_vs_engine(repeats=5) -> dict:
+    """Time the columnar engine against the per-point scalar oracle.
 
     Uses the paper-scale IGF space (windows 1..9, depths 1..5, up to 16
     primary-cone instances — the Section-4 configuration).  Cone
@@ -248,6 +248,9 @@ def run_columnar_vs_scalar(repeats=5) -> dict:
     import hashlib
 
     from repro.api.pipeline import build_explorer
+
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+    from oracles.scalar_explorer import explore_scalar
 
     workload = WORKLOADS["igf"]
     explorer = build_explorer(workload)
@@ -267,28 +270,28 @@ def run_columnar_vs_scalar(repeats=5) -> dict:
         return wall, digests, result
 
     frame = (workload.frame_width, workload.frame_height)
-    scalar_wall, scalar_digests, scalar_result = best_wall(
-        lambda: explorer.explore_scalar(workload.iterations, *frame))
-    columnar_wall, columnar_digests, _ = best_wall(
+    oracle_wall, oracle_digests, oracle_result = best_wall(
+        lambda: explore_scalar(explorer, workload.iterations, *frame))
+    engine_wall, engine_digests, _ = best_wall(
         lambda: explorer.explore(workload.iterations, *frame))
 
-    identical = scalar_digests == columnar_digests and len(
-        scalar_digests) == 1
-    speedup = scalar_wall / columnar_wall if columnar_wall > 0 else None
+    identical = oracle_digests == engine_digests and len(
+        oracle_digests) == 1
+    speedup = oracle_wall / engine_wall if engine_wall > 0 else None
     if not identical:
-        print("  WARNING: columnar and scalar explorations disagreed!",
+        print("  WARNING: the engine and the scalar oracle disagreed!",
               file=sys.stderr)
-    print(f"    scalar    {scalar_wall * 1e3:8.2f} ms")
-    print(f"    columnar  {columnar_wall * 1e3:8.2f} ms  "
+    print(f"    oracle    {oracle_wall * 1e3:8.2f} ms")
+    print(f"    engine    {engine_wall * 1e3:8.2f} ms  "
           f"({speedup:.2f}x, identical results: {identical})")
     return {
         "workload": workload.name,
-        "design_points": len(scalar_result.design_points),
+        "design_points": len(oracle_result.design_points),
         "repeats": repeats,
-        "scalar_wall_s": scalar_wall,
-        "columnar_wall_s": columnar_wall,
+        "oracle_wall_s": oracle_wall,
+        "engine_wall_s": engine_wall,
         "speedup": speedup,
-        "result_digest": sorted(scalar_digests)[0],
+        "result_digest": sorted(oracle_digests)[0],
         "results_identical": identical,
     }
 
@@ -722,8 +725,8 @@ def main(argv=None) -> int:
     parser.add_argument("--skip-scaling", action="store_true",
                         help="skip the serial-vs-threads-vs-processes "
                              "executor scaling section")
-    parser.add_argument("--skip-columnar", action="store_true",
-                        help="skip the columnar-engine-vs-scalar-explorer "
+    parser.add_argument("--skip-oracle", action="store_true",
+                        help="skip the scalar-oracle-vs-engine "
                              "exploration benchmark")
     parser.add_argument("--skip-service", action="store_true",
                         help="skip the exploration-service throughput "
@@ -796,10 +799,10 @@ def main(argv=None) -> int:
               f"({warm['session']['store_disk_hits']} disk hits, "
               f"{warm['session']['synthesis_runs']} synthesis runs)")
 
-    if not args.skip_columnar:
-        print("running the columnar-vs-scalar exploration benchmark "
+    if not args.skip_oracle:
+        print("running the oracle-vs-engine exploration benchmark "
               "(paper-scale IGF space)...")
-        snapshot["columnar_vs_scalar"] = run_columnar_vs_scalar()
+        snapshot["oracle_vs_engine"] = run_oracle_vs_engine()
 
     if not args.skip_scaling:
         print(f"running the executor scaling batch "

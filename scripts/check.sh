@@ -5,7 +5,8 @@
 #   scripts/check.sh --fast     # skip bench-style tests (-m "not slow")
 #
 # Every mode first runs the engine import-hygiene guard: repro.dse.engine
-# must import with nothing beyond NumPy + the stdlib.
+# and the explorer must import with nothing beyond NumPy + the stdlib, and
+# never with a test oracle (tests/oracles) in their import closure.
 #   scripts/check.sh --par      # process-parallel executor/store-stress
 #                               # tests only, plus marker-hygiene checks
 #   scripts/check.sh --service  # service smoke: boot `python -m repro
@@ -47,16 +48,19 @@ run_pytest() {
 }
 
 check_engine_imports() {
-    # Import hygiene: the columnar engine must import with nothing beyond
-    # NumPy and the stdlib — test-only/optional packages sneaking into its
-    # import closure would break minimal production deployments.  The
-    # blocked import hook fails the build the moment one is touched.
+    # Import hygiene: the exploration engines must import with nothing
+    # beyond NumPy and the stdlib — test-only/optional packages sneaking
+    # into their import closure would break minimal production
+    # deployments.  The blocked import hook fails the build the moment one
+    # is touched.  The differential oracles live under tests/oracles and
+    # must stay out of the src/ closure too.
     python - <<'PYEOF'
 import builtins
 import sys
 
 sys.path.insert(0, "src")
-BLOCKED = ("hypothesis", "pytest", "matplotlib", "pandas", "scipy", "yaml")
+BLOCKED = ("hypothesis", "pytest", "matplotlib", "pandas", "scipy", "yaml",
+           "tests", "oracles")
 real_import = builtins.__import__
 
 
@@ -64,17 +68,19 @@ def guarded(name, *args, **kwargs):
     root = name.split(".")[0]
     if root in BLOCKED:
         raise SystemExit(
-            f"error: repro.dse.engine pulled optional dependency {root!r} "
-            f"into its import closure (only NumPy + stdlib are allowed)")
+            f"error: repro.dse pulled {root!r} into its import closure "
+            f"(only NumPy + stdlib are allowed; test oracles stay in tests/)")
     return real_import(name, *args, **kwargs)
 
 
 builtins.__import__ = guarded
 import repro.dse.engine  # noqa: F401  (the guard is the side effect)
 import repro.dse.stream  # noqa: F401  (same deployment footprint)
+import repro.dse.explorer  # noqa: F401  (the one exploration entry point)
 
-non_stdlib = [name for name in BLOCKED if name in sys.modules]
-assert not non_stdlib, non_stdlib
+leaked = sorted(name for name in sys.modules
+                if name.split(".")[0] in BLOCKED)
+assert not leaked, leaked
 print(f"engine import guard ok ({len(sys.modules)} modules, "
       f"numpy {sys.modules['numpy'].__version__})")
 PYEOF

@@ -41,7 +41,8 @@ from repro.algorithms import get_algorithm                   # noqa: E402
 from repro.dse.constraints import DseConstraints             # noqa: E402
 from repro.dse.engine import explore_columnar                # noqa: E402
 from repro.dse.explorer import DesignSpaceExplorer           # noqa: E402
-from repro.dse.stream import explore_stream, plan_chunks     # noqa: E402
+from repro.dse.stream import (clear_stream_caches,           # noqa: E402
+                              explore_stream, plan_chunks)
 
 ITERATIONS = 10  # the paper's blur case study (Section 4.1)
 
@@ -67,19 +68,18 @@ def check_digest_identity(explorer, space, characterizations, usable):
     for constraints, label in scenarios:
         oracle = explore_columnar(paper_space, characterizations,
                                   explorer.throughput_model, 1024, 768,
-                                  constraints, usable,
-                                  materialize="frontier")
+                                  constraints, usable)
         digest = serialized(oracle.pareto)
         for chunk_rows in (1, group_rows, paper_space.size()):
             n_chunks = len(plan_chunks(paper_space, chunk_rows))
             orders = [None, random.Random(2013).sample(range(n_chunks),
                                                        n_chunks)]
             for order in orders:
+                clear_stream_caches()  # every run recomputes its masks
                 streamed = explore_stream(
                     paper_space, characterizations,
                     explorer.throughput_model, 1024, 768, constraints,
-                    usable, chunk_rows=chunk_rows, chunk_order=order,
-                    use_mask_cache=False)
+                    usable, chunk_rows=chunk_rows, chunk_order=order)
                 if serialized(streamed.pareto) != digest:
                     raise SystemExit(
                         f"digest mismatch ({label}, chunk_rows="

@@ -1,12 +1,7 @@
 """The columnar design-space engine.
 
-The scalar explorer evaluates the candidate space one Python object at a
-time: build a :class:`ConeArchitecture`, sum its cone areas, run the
-throughput model, wrap a :class:`DesignPoint`, test the constraints — a few
-tens of microseconds of interpreter work per candidate, multiplied by every
-(window, split, instance count) combination of every workload of a sweep.
-
-This module evaluates the same space as columns instead:
+Evaluates a candidate space as columns instead of one Python object per
+candidate:
 
 1. the full enumerated candidate set is materialized once as parallel NumPy
    arrays (:class:`repro.architecture.enumeration.ArchitectureTable` — window,
@@ -14,31 +9,30 @@ This module evaluates the same space as columns instead:
    device/format/frame scenario that explores the same shape knobs;
 2. the calibrated Equation-1 areas and the frame-level throughput model are
    evaluated vectorized over whole (window, split) groups through the
-   models' ``estimate_batch`` APIs — the same code the scalar paths
-   delegate to, so columnar and scalar figures are bit-identical;
+   models' ``estimate_batch`` APIs — the same code the models' per-point
+   ``evaluate`` delegates to, so batch and per-point figures are
+   bit-identical;
 3. :class:`~repro.dse.constraints.DseConstraints` are applied as array
    masks, with the area-only constraints (``device_only``,
    ``max_area_luts``) pushed down *before* throughput estimation so
    infeasible candidates are never costed;
 4. the Pareto frontier is extracted directly from the admitted objective
    columns (:func:`repro.dse.pareto.pareto_indices`);
-5. :class:`DesignPoint` objects are materialized only for the rows that
-   survive — all admitted rows when a full :class:`ExplorationResult` is
-   wanted (the explorer default, byte-identical to the scalar path), or
-   just the frontier when only the Pareto set matters
-   (``materialize="frontier"``).
+5. :class:`DesignPoint` objects are materialized for the admitted rows only.
 
-:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` routes through this
-engine whenever the workload's throughput backend is columnar-capable (see
-:func:`supports_columnar`), which covers every built-in configuration; the
-scalar loop remains available as ``explore_scalar`` and serves as the
-differential-testing baseline.
+:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` runs this engine on
+spaces below :data:`repro.dse.stream.STREAM_AUTO_THRESHOLD` candidates and
+the chunked :func:`repro.dse.stream.explore_stream` at or above it.  Both
+accept every throughput backend: one whose per-row hooks are overridden
+(see :func:`supports_columnar`) is driven through :func:`batch_backend`, a
+row-loop adapter that builds the batch columns from per-row ``evaluate()``
+calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -48,12 +42,12 @@ from repro.architecture.enumeration import (ArchitectureSpace,
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_indices
-# one accumulation formula shared with the streaming engine, so its
-# binary-search pushdown probes are bit-identical to these columns by
-# construction (stream imports nothing from this module at import time)
-from repro.dse.stream import _group_area
+# one accumulation formula and one group prelude shared with the streaming
+# engine, so its binary-search pushdown probes are bit-identical to these
+# columns by construction (stream imports nothing from this module at
+# import time)
+from repro.dse.stream import _GroupContext, _group_area, _group_context
 from repro.estimation.throughput_model import (
-    ConePerformance,
     ThroughputModel,
     performance_from_columns,
 )
@@ -84,19 +78,20 @@ def shared_table_stats() -> Dict[str, Optional[int]]:
 
 
 def supports_columnar(throughput_model: object) -> bool:
-    """Whether the engine may drive ``throughput_model`` through its batch API.
+    """Whether the engines may drive ``throughput_model``'s batch API directly.
 
     True iff the model's frame-level ``evaluate``, its per-tile
     ``compute_cycles_per_tile`` hook, and ``estimate_batch`` itself are the
     stock :class:`ThroughputModel` implementations, so the batch path
     cannot diverge from what per-point evaluation would produce.  A
     backend that overrides any of the three — or duck-types the protocol
-    without subclassing — is evaluated point-wise by the scalar explorer
-    loop instead (its overrides are honored, just not vectorized).  The
-    finer-grained public hooks (``transfer_cycles_per_tile``,
-    ``tiles_per_frame``, ``execution_interval_cycles``) are invoked on the
-    instance by both paths, so overriding those keeps the engine usable
-    *and* consistent — they are the supported extension points for
+    without subclassing — is wrapped by :func:`batch_backend` instead (its
+    overrides are honored, just not vectorized), and the streaming engine
+    skips its min-fps suffix pushdown.  The finer-grained public hooks
+    (``transfer_cycles_per_tile``, ``tiles_per_frame``,
+    ``execution_interval_cycles``) are invoked on the instance by both
+    paths, so overriding those keeps the batch path usable *and*
+    consistent — they are the supported extension points for
     columnar-capable customization.
     """
     model_type = type(throughput_model)
@@ -108,20 +103,59 @@ def supports_columnar(throughput_model: object) -> bool:
             is ThroughputModel.compute_cycles_per_tile)
 
 
+class _RowLoopBatch:
+    """``estimate_batch`` over per-row ``evaluate()`` calls.
+
+    Serves backends that override a per-row hook: each instance count of a
+    (window, split) group is materialized and evaluated on its own, so the
+    overrides are honored exactly.  The columns carry the per-row results
+    under ``"performance"`` (which :func:`performance_from_columns` returns
+    as-is) plus the two objective columns the engines mask and rank on.
+    """
+
+    def __init__(self, model: object, space: ArchitectureSpace) -> None:
+        self.model = model
+        self.space = space
+
+    def estimate_batch(self, architecture, cone_performance, frame_width,
+                       frame_height, primary_counts) -> Dict[str, object]:
+        performance = [
+            self.model.evaluate(
+                self.space.materialize_row_parts(
+                    architecture.window_side, architecture.level_depths,
+                    count),
+                cone_performance, frame_width, frame_height)
+            for count in np.asarray(primary_counts).tolist()]
+        return {
+            "performance": performance,
+            "seconds_per_frame": np.array(
+                [row.seconds_per_frame for row in performance],
+                dtype=np.float64),
+            "frames_per_second": np.array(
+                [row.frames_per_second for row in performance],
+                dtype=np.float64),
+        }
+
+
+def batch_backend(throughput_model: object, space: ArchitectureSpace):
+    """``throughput_model`` itself when :func:`supports_columnar`, else a
+    row-loop adapter exposing the same ``estimate_batch`` signature."""
+    if supports_columnar(throughput_model):
+        return throughput_model
+    return _RowLoopBatch(throughput_model, space)
+
+
 @dataclass(frozen=True)
 class _GroupEvaluation:
     """One (window, split) group's evaluated columns (admitted rows only)."""
 
-    window: int
-    split: Tuple[int, ...]
+    context: _GroupContext
     base_row: int
     count_index: np.ndarray        # admitted positions along the count axis
     area_luts: np.ndarray          # admitted areas (aligned with count_index)
     fits_device: np.ndarray
     performance_columns: Mapping[str, object]
     performance_index: np.ndarray  # admitted positions into the perf columns
-    area_by_depth: Dict[int, float]
-    area_estimated: bool
 
 
 @dataclass
@@ -131,11 +165,9 @@ class ColumnarExploration:
     ``row_index``/``area_luts``/``seconds_per_frame``/``fits_device`` are
     parallel arrays over the admitted candidates, in enumeration (row)
     order.  ``design_points`` holds one :class:`DesignPoint` per admitted
-    row in the same order — unless the evaluation ran with
-    ``materialize="frontier"``, in which case only the Pareto members were
-    materialized and ``design_points`` is ``None``.  ``pareto`` is the
-    frontier in increasing-area order (see :mod:`repro.dse.pareto` for the
-    tie-breaking contract).
+    row in the same order; ``pareto`` is the frontier in increasing-area
+    order (see :mod:`repro.dse.pareto` for the tie-breaking contract), as
+    members of ``design_points``.
     """
 
     table: ArchitectureTable
@@ -144,7 +176,7 @@ class ColumnarExploration:
     seconds_per_frame: np.ndarray
     fits_device: np.ndarray
     pareto_index: np.ndarray
-    design_points: Optional[List[DesignPoint]]
+    design_points: List[DesignPoint]
     pareto: List[DesignPoint]
     #: Rows never costed thanks to constraint pushdown (area-infeasible
     #: only — a min-fps floor is filtered *after* costing here and is not
@@ -163,23 +195,16 @@ def explore_columnar(space: ArchitectureSpace,
                      throughput_model: ThroughputModel,
                      frame_width: int, frame_height: int,
                      constraints: Optional[DseConstraints] = None,
-                     usable_luts: float = math.inf,
-                     materialize: str = "admitted") -> ColumnarExploration:
+                     usable_luts: float = math.inf) -> ColumnarExploration:
     """Evaluate a whole architecture space with column arithmetic.
 
-    Visits the same candidates in the same order as the scalar
-    ``architecture_groups`` loop and produces the same admitted design
-    points and the same Pareto frontier (bit-identical serializations) —
-    just without paying Python-object overhead per candidate.
-
-    ``materialize`` selects which rows become :class:`DesignPoint` objects:
-    ``"admitted"`` (default) materializes every constraint-admitted row,
-    ``"frontier"`` only the Pareto members.
+    Visits the candidates in enumeration order (a (window, split) group at
+    a time, instance counts ascending) and materializes a
+    :class:`DesignPoint` for every constraint-admitted row.  Groups whose
+    cone shapes lack a characterization are skipped.
     """
-    if materialize not in ("admitted", "frontier"):
-        raise ValueError(f"materialize must be 'admitted' or 'frontier' "
-                         f"(got {materialize!r})")
     constraints = constraints or DseConstraints()
+    throughput_model = batch_backend(throughput_model, space)
     table = space_table(space)
     n_counts = len(table.counts)
 
@@ -187,29 +212,20 @@ def explore_columnar(space: ArchitectureSpace,
     pruned = 0
     for window_index, window in enumerate(table.window_sides):
         for split_index, split in enumerate(table.splits):
-            depths = sorted(set(split))
-            area_by_depth: Dict[int, float] = {}
-            estimated = False
-            valid = True
-            for depth in depths:
-                characterization = characterizations.get((window, depth))
-                if characterization is None:
-                    valid = False
-                    break
-                area_by_depth[depth] = characterization.area_luts
-                estimated = estimated or not characterization.synthesized
-            if not valid:
+            if any((window, depth) not in characterizations
+                   for depth in split):
                 continue
+            context = _group_context(space, characterizations, window,
+                                     split)
             rows = table.group_rows(window_index, split_index)
             # the group's slice of the table columns IS the count axis
             counts = table.primary_count[rows.start:rows.stop]
-            primary = int(table.primary_depth[rows.start])
 
             # Per-row area: Σ_depth instances × cone area, accumulated in
-            # sorted-depth order exactly like the scalar sum (bit-identical;
-            # only the primary depth's instance count varies along the row
-            # axis of the group).
-            area = _group_area(counts, depths, primary, area_by_depth)
+            # sorted-depth order (only the primary depth's instance count
+            # varies along the row axis of the group).
+            area = _group_area(counts, context.depths, context.primary,
+                               context.area_by_depth)
             fits = area <= usable_luts
 
             # Constraint pushdown: candidates that already fail the
@@ -224,21 +240,10 @@ def explore_columnar(space: ArchitectureSpace,
             if not feasible.any():
                 continue
 
-            representative = space.materialize_row_parts(window, split, 1)
-            cone_performance = {
-                depth: ConePerformance(
-                    depth=depth,
-                    window_side=window,
-                    latency_cycles=characterizations[(window,
-                                                      depth)].latency_cycles,
-                    initiation_interval=1,
-                )
-                for depth in depths
-            }
             selected = np.flatnonzero(feasible)
             columns = throughput_model.estimate_batch(
-                representative, cone_performance, frame_width, frame_height,
-                counts[selected])
+                context.representative, context.cone_performance,
+                frame_width, frame_height, counts[selected])
             performance_index = np.arange(selected.size)
             if constraints.min_frames_per_second is not None:
                 admitted = (columns["frames_per_second"]
@@ -248,16 +253,13 @@ def explore_columnar(space: ArchitectureSpace,
                 if selected.size == 0:
                     continue
             groups.append(_GroupEvaluation(
-                window=window,
-                split=split,
+                context=context,
                 base_row=rows.start,
                 count_index=selected,
                 area_luts=area[selected],
                 fits_device=fits[selected],
                 performance_columns=columns,
                 performance_index=performance_index,
-                area_by_depth=area_by_depth,
-                area_estimated=estimated,
             ))
 
     if groups:
@@ -275,34 +277,22 @@ def explore_columnar(space: ArchitectureSpace,
         fits_column = np.empty(0, dtype=bool)
     pareto_order = pareto_indices(area_column, time_column)
 
-    def build_point(group: _GroupEvaluation, offset: int) -> DesignPoint:
-        count_index = int(group.count_index[offset])
-        architecture = space.materialize_row_parts(
-            group.window, group.split, table.counts[count_index])
-        return DesignPoint(
-            architecture=architecture,
-            area_luts=float(group.area_luts[offset]),
-            area_estimated=group.area_estimated,
-            performance=performance_from_columns(
-                group.performance_columns,
-                int(group.performance_index[offset])),
-            fits_device=bool(group.fits_device[offset]),
-            cone_area_by_depth=dict(group.area_by_depth),
-        )
-
-    #: admitted row -> (owning group, offset within the group's columns)
-    locator: List[Tuple[_GroupEvaluation, int]] = []
+    design_points: List[DesignPoint] = []
     for group in groups:
-        locator.extend((group, offset)
-                       for offset in range(group.count_index.size))
-
-    if materialize == "admitted":
-        design_points: Optional[List[DesignPoint]] = [
-            build_point(group, offset) for group, offset in locator]
-        pareto = [design_points[index] for index in pareto_order]
-    else:
-        design_points = None
-        pareto = [build_point(*locator[index]) for index in pareto_order]
+        context = group.context
+        for offset in range(group.count_index.size):
+            design_points.append(DesignPoint(
+                architecture=space.materialize_row_parts(
+                    context.window, context.split,
+                    table.counts[int(group.count_index[offset])]),
+                area_luts=float(group.area_luts[offset]),
+                area_estimated=context.area_estimated,
+                performance=performance_from_columns(
+                    group.performance_columns,
+                    int(group.performance_index[offset])),
+                fits_device=bool(group.fits_device[offset]),
+                cone_area_by_depth=dict(context.area_by_depth),
+            ))
 
     return ColumnarExploration(
         table=table,
@@ -312,6 +302,6 @@ def explore_columnar(space: ArchitectureSpace,
         fits_device=fits_column,
         pareto_index=pareto_order,
         design_points=design_points,
-        pareto=pareto,
+        pareto=[design_points[index] for index in pareto_order],
         pruned_rows=pruned,
     )

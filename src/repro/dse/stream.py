@@ -33,11 +33,10 @@ Pieces:
 3. :class:`StreamingFrontier` folds each chunk's admitted objective columns
    into a bounded Pareto state that is byte-identical to
    :func:`repro.dse.pareto.pareto_indices` on the concatenated full arrays
-   regardless of chunk size or arrival order; :class:`StreamingTopK` keeps
-   the k fastest admitted candidates the same way.  Both carry only
+   regardless of chunk size or arrival order.  It carries only
    ``(area, time, global row)`` triples — design points are rebuilt for the
-   survivors at finalization by re-running ``estimate_batch`` on just their
-   rows (elementwise over the count axis, hence bit-identical).
+   frontier members at finalization by re-running ``estimate_batch`` on
+   just their rows (elementwise over the count axis, hence bit-identical).
 4. The admitted-row prefixes are persisted in a small process-wide LRU
    keyed by shape knobs + the cone-area inputs + the area constraints, so a
    re-explore that changes only per-run knobs (frame geometry, minimum
@@ -50,20 +49,24 @@ Pieces:
    fans deterministic contiguous shards of the chunk schedule across an
    executor strategy (:func:`repro.api.executor.resolve_strategy` — the
    same ``serial``/``threads``/``processes`` names ``run_many`` accepts).
-   Each worker folds its shard into a private frontier/top-k and ships the
+   Each worker folds its shard into a private frontier and ships the
    bounded state back; the parent reduces with
-   :meth:`StreamingFrontier.merge`/:meth:`StreamingTopK.merge`, which are
-   associative and order-insensitive (the (area, time, global-row) total
-   order makes the merged state a pure function of the union), so the
+   :meth:`StreamingFrontier.merge`, which is associative and
+   order-insensitive (the (area, time, global-row) total order makes the
+   merged state a pure function of the union), so the
    result is bit-identical to the serial fold whatever the worker count,
    shard assignment, or completion order.  Workers receive chunk
    *descriptors* (pure index arithmetic), never materialized columns, so a
    process pool neither pickles tables nor re-warms the shared table cache.
 
 :func:`explore_stream` is the engine-level entry point;
-:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` auto-selects it above
-:data:`STREAM_AUTO_THRESHOLD` rows (or on ``stream=True``), keeping
-``explore_columnar`` as the differential oracle.
+:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` selects it at or
+above :data:`STREAM_AUTO_THRESHOLD` rows (or on ``stream=True``) and
+:func:`repro.dse.engine.explore_columnar` below.  Like the columnar engine
+it accepts every throughput backend: one that overrides a per-row hook is
+costed through the row-loop adapter
+(:func:`repro.dse.engine.batch_backend`), without the min-fps suffix
+pushdown.
 """
 
 from __future__ import annotations
@@ -105,9 +108,6 @@ STREAM_AUTO_THRESHOLD = 200_000
 #: Entries the admitted-row mask cache may hold (one entry per distinct
 #: (shape knobs, cone areas, area constraints) combination).
 MASK_CACHE_CAPACITY = 16
-
-#: Design points the running top-k keeps by default.
-DEFAULT_TOP_K = 8
 
 
 # ---------------------------------------------------------------------- #
@@ -178,60 +178,6 @@ class StreamingFrontier:
     def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """``(area, time, order)`` of the frontier, in increasing-area order
         (the exact order ``pareto_indices`` would return the same rows in)."""
-        return self._area.copy(), self._time.copy(), self._order.copy()
-
-
-class StreamingTopK:
-    """Running top-k: the ``k`` fastest candidates seen so far.
-
-    Selection is by ``(time, area, order)`` — a total order (orders are
-    unique global rows), so like the frontier the result is independent of
-    chunking and arrival order.  ``result()`` returns the triples fastest
-    first.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k < 0:
-            raise ValueError(f"k must be >= 0 (got {k})")
-        self.k = k
-        self._area = np.empty(0, dtype=np.float64)
-        self._time = np.empty(0, dtype=np.float64)
-        self._order = np.empty(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self._area.size)
-
-    def update(self, area_luts: "np.ndarray", seconds_per_frame: "np.ndarray",
-               order: "np.ndarray") -> None:
-        areas, times, orders = _validated_triples(area_luts,
-                                                  seconds_per_frame, order)
-        if areas.size == 0 or self.k == 0:
-            return
-        areas = np.concatenate([self._area, areas])
-        times = np.concatenate([self._time, times])
-        orders = np.concatenate([self._order, orders])
-        rank = np.lexsort((orders, areas, times))[:self.k]
-        self._area = areas[rank]
-        self._time = times[rank]
-        self._order = orders[rank]
-
-    def merge(self, other: "StreamingTopK") -> "StreamingTopK":
-        """Fold another top-k state into this one (in place).
-
-        Associative and commutative like :meth:`StreamingFrontier.merge`:
-        the k smallest of a union are the k smallest of the parts' k
-        smallest, under the same (time, area, order) total order.  Both
-        sides must keep the same ``k`` — merging differently-sized top-k
-        states has no well-defined answer and raises :exc:`ValueError`.
-        """
-        if other.k != self.k:
-            raise ValueError(
-                f"cannot merge top-k states of different k "
-                f"({self.k} != {other.k})")
-        self.update(other._area, other._time, other._order)
-        return self
-
-    def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         return self._area.copy(), self._time.copy(), self._order.copy()
 
 
@@ -584,10 +530,11 @@ def _group_context(space: ArchitectureSpace,
                    window: int, split: Tuple[int, ...]) -> _GroupContext:
     """Build one group's evaluation context from pure index arithmetic.
 
-    Shared by the fold workers, the throughput-pushdown probes, and the
-    point builder — a worker process rebuilds contexts from the (small,
-    picklable) space + characterizations instead of receiving materialized
-    columns, so chunk shards ship as descriptors only.
+    Shared by the fold workers, the throughput-pushdown probes, the point
+    builder, and the columnar engine's group loop — a worker process
+    rebuilds contexts from the (small, picklable) space + characterizations
+    instead of receiving materialized columns, so chunk shards ship as
+    descriptors only.
     """
     depths = sorted(set(split))
     area_by_depth = {
@@ -744,10 +691,10 @@ def _plan_groups(space: ArchitectureSpace,
 class StreamingExploration:
     """What :func:`explore_stream` produces.
 
-    Only frontier/top-k members are ever materialized as
-    :class:`DesignPoint` objects — ``pareto`` matches the columnar
-    engine's ``materialize="frontier"`` output exactly (same points, same
-    order), and ``pareto_row_index`` holds their global enumeration rows.
+    Only frontier members are ever materialized as :class:`DesignPoint`
+    objects — ``pareto`` matches the columnar engine's ``pareto`` exactly
+    (same points, same order), and ``pareto_row_index`` holds their global
+    enumeration rows.
     """
 
     space_rows: int
@@ -766,8 +713,6 @@ class StreamingExploration:
     mask_cache_hit: bool
     pareto_row_index: "np.ndarray"
     pareto: List[DesignPoint]
-    top_k: int
-    top_points: List[DesignPoint]
     #: Rows pruned by the min-fps suffix pushdown (included in
     #: ``pruned_rows``); 0 when no floor was set or the model declined.
     throughput_pruned_rows: int = 0
@@ -818,8 +763,8 @@ def _fold_chunk_shard(payload: _ShardPayload) -> Dict[str, object]:
     Runs identically on the calling thread (serial path), in a thread pool,
     or in a worker process — it touches no module-level mutable state (the
     counters are updated by the parent from the returned report, so process
-    workers are not special-cased).  Returns the private frontier/top-k
-    plus the shard's accounting and the global indices of the chunks it
+    workers are not special-cased).  Returns the private frontier plus the
+    shard's accounting and the global indices of the chunks it
     materialized (the parent asserts the shards did not overlap).
 
     The payload's trailing ``trace_context`` (a span handoff payload, or
@@ -832,7 +777,7 @@ def _fold_chunk_shard(payload: _ShardPayload) -> Dict[str, object]:
     shard's fold wall time for the parent's chunk-fold histogram.
     """
     (space, characterizations, throughput_model, frame_width, frame_height,
-     shard, plans, top_k, min_fps, trace_context) = payload
+     shard, plans, min_fps, trace_context) = payload
     fold_started = time.perf_counter()
 
     def traced_fold() -> Dict[str, object]:
@@ -847,12 +792,12 @@ def _fold_chunk_shard(payload: _ShardPayload) -> Dict[str, object]:
     if trace_context is None:
         report = fold_shard(space, characterizations, throughput_model,
                             frame_width, frame_height, shard, plans,
-                            top_k, min_fps)
+                            min_fps)
     else:
         def fold() -> Dict[str, object]:
             return fold_shard(space, characterizations, throughput_model,
                               frame_width, frame_height, shard, plans,
-                              top_k, min_fps)
+                              min_fps)
 
         if obs_trace.enabled():
             report = traced_fold()
@@ -872,10 +817,9 @@ def fold_shard(space: ArchitectureSpace,
                frame_width: int, frame_height: int,
                shard: Sequence[Tuple[int, SpaceChunk]],
                plans: Mapping[Tuple[int, int], _GroupPlan],
-               top_k: int, min_fps: Optional[float]) -> Dict[str, object]:
+               min_fps: Optional[float]) -> Dict[str, object]:
     """The pure fold over one shard's chunks (see :func:`_fold_chunk_shard`)."""
     frontier = StreamingFrontier()
-    topk = StreamingTopK(top_k)
     contexts: Dict[Tuple[int, int], _GroupContext] = {}
     admitted_rows = 0
     chunks_skipped = 0
@@ -914,10 +858,9 @@ def fold_shard(space: ArchitectureSpace,
             continue
         admitted_rows += int(rows.size)
         frontier.update(area, times, rows)
-        topk.update(area, times, rows)
         frontier_peak = max(frontier_peak, len(frontier))
 
-    return {"frontier": frontier, "topk": topk,
+    return {"frontier": frontier,
             "admitted_rows": admitted_rows,
             "chunks_skipped": chunks_skipped,
             "peak_chunk_rows": peak_chunk_rows,
@@ -955,9 +898,7 @@ def explore_stream(space: ArchitectureSpace,
                    constraints: Optional[DseConstraints] = None,
                    usable_luts: float = math.inf,
                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                   top_k: int = DEFAULT_TOP_K,
                    chunk_order: Optional[Sequence[int]] = None,
-                   use_mask_cache: bool = True,
                    jobs: Optional[int] = None,
                    executor: object = None) -> StreamingExploration:
     """Evaluate a whole architecture space at bounded memory.
@@ -969,8 +910,9 @@ def explore_stream(space: ArchitectureSpace,
     indices, mainly for tests) processes the chunks in, and whatever
     ``jobs``/``executor`` the chunk schedule is dispatched across (shards
     fold privately and reduce via the associative ``merge``).  Peak memory
-    is bounded by the per-worker chunk size plus the frontier/top-k state,
-    never by the space.
+    is bounded by the per-worker chunk size plus the frontier state, never
+    by the space.  A backend that overrides a per-row hook is costed
+    through :func:`repro.dse.engine.batch_backend`.
 
     ``pruned_rows`` counts every row skipped before costing: the area-side
     prefix pushdown (identical to the columnar engine's accounting) plus
@@ -978,7 +920,12 @@ def explore_stream(space: ArchitectureSpace,
     engine filters those after costing without counting them), so with an
     fps floor ``admitted_rows + pruned_rows`` covers all evaluable rows.
     """
+    # lazy: keeps `import repro.dse.stream` free of the enumeration table
+    # machinery (see _plan_groups)
+    from repro.dse.engine import batch_backend
+
     constraints = constraints or DseConstraints()
+    throughput_model = batch_backend(throughput_model, space)
     jobs = _validate_jobs(jobs)
     chunks = plan_chunks(space, chunk_rows)
     splits = tuple(tuple(split) for split in space.level_splits())
@@ -993,13 +940,12 @@ def explore_stream(space: ArchitectureSpace,
                 f"chunk_order must be a permutation of range({len(chunks)})")
 
     key = _mask_cache_key(space, characterizations, constraints, usable_luts)
-    admissions = _mask_cache.get(key) if use_mask_cache else None
+    admissions = _mask_cache.get(key)
     mask_cache_hit = admissions is not None
     if admissions is None:
         admissions = _compute_admissions(space, splits, characterizations,
                                          constraints, usable_luts)
-        if use_mask_cache:
-            _mask_cache.put(key, admissions)
+        _mask_cache.put(key, admissions)
     plans, throughput_pruned = _plan_groups(
         space, splits, characterizations, throughput_model,
         frame_width, frame_height, constraints, admissions)
@@ -1009,7 +955,6 @@ def explore_stream(space: ArchitectureSpace,
     min_fps = constraints.min_frames_per_second
     shards = _shard_schedule(schedule, jobs) if jobs > 1 else [schedule]
     frontier = StreamingFrontier()
-    topk = StreamingTopK(top_k)
     admitted_rows = 0
     chunks_skipped = 0
     peak_chunk_rows = 0
@@ -1025,7 +970,7 @@ def explore_stream(space: ArchitectureSpace,
         payloads = [
             (space, characterizations, throughput_model, frame_width,
              frame_height, [(index, chunks[index]) for index in shard],
-             plans, top_k, min_fps, trace_context)
+             plans, min_fps, trace_context)
             for shard in shards]
         if len(payloads) > 1:
             folds = _map_shards(payloads, executor, jobs)
@@ -1034,7 +979,6 @@ def explore_stream(space: ArchitectureSpace,
 
         for fold in folds:
             frontier.merge(fold["frontier"])
-            topk.merge(fold["topk"])
             admitted_rows += fold["admitted_rows"]
             chunks_skipped += fold["chunks_skipped"]
             peak_chunk_rows = max(peak_chunk_rows, fold["peak_chunk_rows"])
@@ -1051,7 +995,6 @@ def explore_stream(space: ArchitectureSpace,
                   throughput_pruned_rows=throughput_pruned)
 
     pareto_area, _pareto_time, pareto_rows = frontier.result()
-    top_area, _top_time, top_rows = topk.result()
     builder = _PointBuilder(space, characterizations, throughput_model,
                             frame_width, frame_height, usable_luts,
                             splits, n_counts)
@@ -1067,8 +1010,6 @@ def explore_stream(space: ArchitectureSpace,
         mask_cache_hit=mask_cache_hit,
         pareto_row_index=pareto_rows,
         pareto=builder.build(pareto_rows, pareto_area),
-        top_k=top_k,
-        top_points=builder.build(top_rows, top_area),
         throughput_pruned_rows=throughput_pruned,
         jobs=len(folds),
     )

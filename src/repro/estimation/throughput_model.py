@@ -278,7 +278,12 @@ def performance_from_columns(columns: Mapping[str, Any],
                              index: int) -> ArchitecturePerformance:
     """Materialize one :class:`ArchitecturePerformance` from a column dict
     produced by :meth:`ThroughputModel.estimate_batch` (NumPy scalars are
-    converted to plain Python values, preserving their bits)."""
+    converted to plain Python values, preserving their bits).  Columns
+    built from per-row ``evaluate()`` results (the engines' row-loop
+    adapter) carry them under ``"performance"``; those are returned as-is."""
+    rows = columns.get("performance")
+    if rows is not None:
+        return rows[index]
     return ArchitecturePerformance(
         architecture_label=columns["architecture_label"],
         clock_hz=columns["clock_hz"],

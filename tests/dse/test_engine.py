@@ -1,11 +1,12 @@
-"""Tests for the columnar design-space engine (ISSUE 4 tentpole).
+"""Tests for the columnar design-space engine.
 
-The headline property: the engine and the legacy per-point scalar loop
-produce *byte-identical* serialized ``ExplorationResult``s — vectorization
-is a performance concern, never a semantics concern.
+The headline property: the engine and the per-point scalar oracle
+(``tests/oracles/scalar_explorer.py``) produce *byte-identical* serialized
+``ExplorationResult``s — for the stock throughput model and for backends
+that override its per-row hooks, unconstrained and under every constraint
+kind.  Vectorization is a performance concern, never a semantics concern.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -13,10 +14,12 @@ import pytest
 
 from repro.architecture.enumeration import ArchitectureSpace, space_table
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import explore_columnar, supports_columnar
+from repro.dse.engine import batch_backend, explore_columnar, supports_columnar
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.estimation.throughput_model import ThroughputModel
 from repro.ir.operators import DataFormat
+from oracles.override_backends import Congested, Halved, Padded, SlowPorts
+from oracles.scalar_explorer import explore_scalar
 
 
 def small_explorer(kernel, **overrides):
@@ -31,13 +34,31 @@ def serialized(result):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
+def constraint_kinds(result):
+    """One constraint set per kind, cut at the medians of ``result``."""
+    areas = sorted(p.area_luts for p in result.design_points)
+    rates = sorted(p.frames_per_second for p in result.design_points)
+    median_area = areas[len(areas) // 2]
+    median_rate = rates[len(rates) // 2]
+    return {
+        "unconstrained": None,
+        "device_only": DseConstraints(device_only=True),
+        "max_area_luts": DseConstraints(max_area_luts=median_area),
+        "min_frames_per_second": DseConstraints(
+            min_frames_per_second=median_rate),
+        "all": DseConstraints(max_area_luts=median_area,
+                              min_frames_per_second=median_rate,
+                              device_only=True),
+    }
+
+
 class TestEngineEquivalence:
-    """Engine output must be byte-identical to the scalar loop's."""
+    """Engine output must be byte-identical to the scalar oracle's."""
 
     def test_unconstrained_exploration_is_byte_identical(self, igf_kernel):
         explorer = small_explorer(igf_kernel)
         engine = explorer.explore(6, 128, 96)
-        scalar = explorer.explore_scalar(6, 128, 96)
+        scalar = explore_scalar(explorer, 6, 128, 96)
         assert engine.design_points  # non-trivial space
         assert serialized(engine) == serialized(scalar)
 
@@ -52,7 +73,8 @@ class TestEngineEquivalence:
             min_frames_per_second=rates[len(rates) // 2],
             device_only=True)
         engine = explorer.explore(6, 128, 96, constraints=constraints)
-        scalar = explorer.explore_scalar(6, 128, 96, constraints=constraints)
+        scalar = explore_scalar(explorer, 6, 128, 96,
+                                constraints=constraints)
         assert 0 < len(engine.design_points) < len(baseline.design_points)
         assert serialized(engine) == serialized(scalar)
 
@@ -60,7 +82,7 @@ class TestEngineEquivalence:
         explorer = small_explorer(chambolle_kernel, window_sides=(1, 2, 3),
                                   max_depth=2, synthesize_all=False)
         engine = explorer.explore(4, 64, 64)
-        scalar = explorer.explore_scalar(4, 64, 64)
+        scalar = explore_scalar(explorer, 4, 64, 64)
         assert serialized(engine) == serialized(scalar)
 
     def test_pareto_entries_are_indices_into_design_points(self, igf_kernel):
@@ -88,27 +110,6 @@ class TestConstraintPushdown:
         assert (constrained.admitted_rows + constrained.pruned_rows
                 == baseline.admitted_rows)
         assert (constrained.area_luts <= cutoff).all()
-
-    def test_frontier_only_materialization(self, igf_kernel):
-        explorer = small_explorer(igf_kernel)
-        characterizations, _ = explorer.characterize_cones(6)
-        space = explorer._space(6)
-        full = explore_columnar(
-            space, characterizations, explorer.throughput_model, 128, 96)
-        frontier = explore_columnar(
-            space, characterizations, explorer.throughput_model, 128, 96,
-            materialize="frontier")
-        assert frontier.design_points is None
-        assert ([p.to_dict() for p in frontier.pareto]
-                == [p.to_dict() for p in full.pareto])
-
-    def test_unknown_materialize_mode_rejected(self, igf_kernel):
-        explorer = small_explorer(igf_kernel)
-        characterizations, _ = explorer.characterize_cones(6)
-        with pytest.raises(ValueError, match="materialize"):
-            explore_columnar(explorer._space(6), characterizations,
-                             explorer.throughput_model, 128, 96,
-                             materialize="everything")
 
 
 class TestSharedTable:
@@ -154,98 +155,66 @@ class TestSharedTable:
 class TestBackendCompatibility:
     def test_builtin_model_is_columnar_capable(self):
         assert supports_columnar(ThroughputModel())
+        assert supports_columnar(SlowPorts())
+        model = ThroughputModel()
+        assert batch_backend(model, None) is model
 
-    def test_override_of_evaluate_disables_the_engine(self, igf_kernel):
-        """A backend that overrides ``evaluate`` must be honored point-wise:
-        the explorer falls back to the scalar loop instead of silently
-        evaluating the stock batch formula."""
-
-        class Halved(ThroughputModel):
-            def evaluate(self, architecture, cone_performance,
-                         frame_width, frame_height):
-                performance = super().evaluate(
-                    architecture, cone_performance, frame_width, frame_height)
-                return dataclasses.replace(
-                    performance,
-                    seconds_per_frame=performance.seconds_per_frame * 2.0,
-                    frames_per_second=performance.frames_per_second / 2.0)
-
-        assert not supports_columnar(Halved())
+    @pytest.mark.parametrize("backend", [ThroughputModel, Halved, Congested,
+                                         Padded, SlowPorts])
+    def test_every_backend_matches_the_oracle_under_every_constraint(
+            self, igf_kernel, backend):
         explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=Halved)
-        auto = explorer.explore(6, 128, 96)
-        scalar = explorer.explore_scalar(6, 128, 96)
-        assert serialized(auto) == serialized(scalar)
+                                  throughput_model_factory=backend)
+        baseline = explorer.explore(6, 128, 96)
+        for kind, constraints in constraint_kinds(baseline).items():
+            engine = explorer.explore(6, 128, 96, constraints=constraints)
+            oracle = explore_scalar(explorer, 6, 128, 96,
+                                    constraints=constraints)
+            assert engine.design_points, kind
+            assert serialized(engine) == serialized(oracle), kind
+
+    def test_override_of_evaluate_is_honored(self, igf_kernel):
+        """A backend that overrides ``evaluate`` is driven row by row
+        through the adapter instead of the stock batch formula."""
+        assert not supports_columnar(Halved())
+        auto = small_explorer(igf_kernel,
+                              throughput_model_factory=Halved).explore(
+                                  6, 128, 96)
         stock = small_explorer(igf_kernel).explore(6, 128, 96)
         assert (auto.design_points[0].seconds_per_frame
                 == 2.0 * stock.design_points[0].seconds_per_frame)
 
-    def test_override_of_compute_cycles_hook_disables_the_engine(
-            self, igf_kernel):
+    def test_override_of_compute_cycles_hook_is_honored(self, igf_kernel):
         """``compute_cycles_per_tile`` is a public hook ``evaluate`` calls;
-        a subclass override must be honored (scalar fallback), never
-        silently replaced by the stock batch accumulation."""
-
-        class Congested(ThroughputModel):
-            def compute_cycles_per_tile(self, architecture,
-                                        cone_performance):
-                return 1.5 * super().compute_cycles_per_tile(
-                    architecture, cone_performance)
-
+        a subclass override must be honored, never silently replaced by
+        the stock batch accumulation."""
         assert not supports_columnar(Congested())
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=Congested)
-        auto = explorer.explore(6, 128, 96)
-        assert serialized(auto) == serialized(explorer.explore_scalar(6, 128,
-                                                                      96))
+        auto = small_explorer(igf_kernel,
+                              throughput_model_factory=Congested).explore(
+                                  6, 128, 96)
         stock = small_explorer(igf_kernel).explore(6, 128, 96)
         assert (auto.design_points[0].performance.compute_cycles_per_tile
                 == 1.5 * stock.design_points[0].performance
                 .compute_cycles_per_tile)
 
-    def test_override_of_estimate_batch_alone_disables_the_engine(
+    def test_override_of_estimate_batch_alone_is_never_consulted(
             self, igf_kernel):
         """A lone ``estimate_batch`` override cannot be proven consistent
-        with scalar evaluation, so the explorer falls back to the scalar
-        loop (where the override is simply never consulted)."""
-
-        class Padded(ThroughputModel):
-            def estimate_batch(self, architecture, cone_performance,
-                               frame_width, frame_height, primary_counts):
-                columns = dict(super().estimate_batch(
-                    architecture, cone_performance, frame_width,
-                    frame_height, primary_counts))
-                columns["seconds_per_frame"] = (
-                    columns["seconds_per_frame"] * 1.25)
-                return columns
-
+        with per-point evaluation, so the adapter costs rows through
+        ``evaluate`` and the override is simply never consulted."""
         assert not supports_columnar(Padded())
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=Padded)
-        auto = explorer.explore(6, 128, 96)
-        assert serialized(auto) == serialized(explorer.explore_scalar(6, 128,
-                                                                      96))
-        # scalar evaluation never consults the batch override
+        auto = small_explorer(igf_kernel,
+                              throughput_model_factory=Padded).explore(
+                                  6, 128, 96)
         assert serialized(auto) == serialized(
             small_explorer(igf_kernel).explore(6, 128, 96))
 
-    def test_interval_hook_override_keeps_engine_usable_and_consistent(
-            self, igf_kernel):
-        """The fine-grained hooks are invoked on the instance by both
-        paths, so overriding them composes with the engine."""
-
-        class SlowPorts(ThroughputModel):
-            def execution_interval_cycles(self, architecture, depth,
-                                          performance):
-                return 2.0 * super().execution_interval_cycles(
-                    architecture, depth, performance)
-
-        assert supports_columnar(SlowPorts())
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=SlowPorts)
-        auto = explorer.explore(6, 128, 96)
-        assert serialized(auto) == serialized(explorer.explore_scalar(6, 128,
-                                                                      96))
+    def test_interval_hook_override_keeps_the_batch_path(self, igf_kernel):
+        """The fine-grained hooks are invoked on the instance by the batch
+        formula too, so overriding them needs no adapter."""
+        auto = small_explorer(igf_kernel,
+                              throughput_model_factory=SlowPorts).explore(
+                                  6, 128, 96)
         stock = small_explorer(igf_kernel).explore(6, 128, 96)
         assert (auto.design_points[0].seconds_per_frame
                 > stock.design_points[0].seconds_per_frame)

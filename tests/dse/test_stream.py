@@ -1,12 +1,13 @@
-"""Tests for the out-of-core chunked exploration engine (ISSUE 7 tentpole;
-parallel dispatch + throughput-side pushdown from ISSUE 9).
+"""Tests for the out-of-core chunked exploration engine, its parallel
+dispatch and its throughput-side pushdown.
 
 The headline property: whatever the chunk size {1 row, group-sized, the
 whole space}, whatever the chunk order, and whatever the worker count /
 executor strategy, ``explore_stream`` produces the identical Pareto
 frontier — same global rows, byte-identical serialized design points — as
-the columnar oracle ``explore_columnar``; its ``pruned_rows`` additionally
-counts the rows the min-fps suffix pushdown skipped before costing.
+the in-memory ``explore_columnar`` run (itself pinned to the scalar oracle
+in ``test_engine.py``); its ``pruned_rows`` additionally counts the rows
+the min-fps suffix pushdown skipped before costing.
 """
 
 import json
@@ -22,7 +23,6 @@ from repro.dse.stream import (
     DEFAULT_CHUNK_ROWS,
     SpaceChunk,
     StreamingFrontier,
-    StreamingTopK,
     clear_stream_caches,
     explore_stream,
     plan_chunks,
@@ -31,6 +31,8 @@ from repro.dse.stream import (
 )
 from repro.estimation.throughput_model import ThroughputModel
 from repro.ir.operators import DataFormat
+from oracles.override_backends import Congested, Halved
+from oracles.scalar_explorer import explore_scalar
 
 
 def small_explorer(kernel, **overrides):
@@ -81,7 +83,7 @@ class TestDigestIdentity:
         for constraints in constraint_grid(baseline):
             oracle = explore_columnar(
                 space, characterizations, explorer.throughput_model,
-                128, 96, constraints, usable, materialize="frontier")
+                128, 96, constraints, usable)
             oracle_rows = oracle.row_index[oracle.pareto_index]
             oracle_digest = serialized_points(oracle.pareto)
             for chunk_rows in (1, group_rows, space.size()):
@@ -176,7 +178,7 @@ class TestThroughputPushdown:
                     128, 96, DseConstraints(**extra), usable)
                 oracle = explore_columnar(
                     space, characterizations, explorer.throughput_model,
-                    128, 96, constraints, usable, materialize="frontier")
+                    128, 96, constraints, usable)
                 streamed = explore_stream(
                     space, characterizations, explorer.throughput_model,
                     128, 96, constraints, usable, chunk_rows=2)
@@ -225,8 +227,7 @@ class TestThroughputPushdown:
                                  data_format=explorer.data_format)
         constraints = DseConstraints(min_frames_per_second=1.0)
         oracle = explore_columnar(space, characterizations, model,
-                                  128, 96, constraints, usable,
-                                  materialize="frontier")
+                                  128, 96, constraints, usable)
         streamed = explore_stream(space, characterizations, model,
                                   128, 96, constraints, usable,
                                   chunk_rows=3)
@@ -251,8 +252,7 @@ class TestThroughputPushdown:
         assert second.mask_cache_hit  # the floor is not in the mask key
         oracle = explore_columnar(
             space, characterizations, explorer.throughput_model, 128, 96,
-            DseConstraints(min_frames_per_second=floors[2]), usable,
-            materialize="frontier")
+            DseConstraints(min_frames_per_second=floors[2]), usable)
         assert (serialized_points(second.pareto)
                 == serialized_points(oracle.pareto))
 
@@ -284,8 +284,6 @@ class TestParallelDispatch:
                     assert serialized_points(streamed.pareto) == digest
                     assert streamed.admitted_rows == serial.admitted_rows
                     assert streamed.pruned_rows == serial.pruned_rows
-                    assert (serialized_points(streamed.top_points)
-                            == serialized_points(serial.top_points))
                     assert streamed.jobs == min(jobs, len(order))
         assert stream_stats()["duplicate_chunk_materializations"] == 0
 
@@ -337,10 +335,6 @@ class TestParallelDispatch:
                                explorer.throughput_model, 128, 96,
                                usable_luts=usable, jobs=bad)
 
-    def test_topk_merge_rejects_mismatched_k(self):
-        with pytest.raises(ValueError, match="different k"):
-            StreamingTopK(3).merge(StreamingTopK(4))
-
 
 class TestMaskCache:
     def test_frame_change_reuses_masks(self, evaluation_inputs):
@@ -359,8 +353,7 @@ class TestMaskCache:
         # the reused run is still digest-identical to its own oracle
         oracle = explore_columnar(space, characterizations,
                                   explorer.throughput_model, 640, 480,
-                                  constraints, usable,
-                                  materialize="frontier")
+                                  constraints, usable)
         assert (serialized_points(second.pareto)
                 == serialized_points(oracle.pareto))
 
@@ -373,33 +366,15 @@ class TestMaskCache:
             DseConstraints(device_only=True, max_area_luts=50_000.0), usable)
         assert not tightened.mask_cache_hit
 
-    def test_cache_can_be_disabled(self, evaluation_inputs):
+    def test_clearing_the_cache_forces_recompute(self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
         for _ in range(2):
+            clear_stream_caches()
             streamed = explore_stream(space, characterizations,
                                       explorer.throughput_model, 128, 96,
-                                      usable_luts=usable,
-                                      use_mask_cache=False)
+                                      usable_luts=usable)
             assert not streamed.mask_cache_hit
-        assert stream_stats()["entries"] == 0
-
-
-class TestTopK:
-    def test_top_points_are_the_k_fastest_admitted(self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        oracle = explore_columnar(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  usable_luts=usable)
-        k = 5
-        streamed = explore_stream(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=3, top_k=k)
-        expected = np.lexsort((oracle.row_index, oracle.area_luts,
-                               oracle.seconds_per_frame))[:k]
-        expected_times = oracle.seconds_per_frame[expected]
-        got_times = [p.seconds_per_frame for p in streamed.top_points]
-        assert got_times == expected_times.tolist()
-        assert len(streamed.top_points) == k
+        assert stream_stats()["entries"] == 1
 
 
 class TestChunkPlanning:
@@ -482,26 +457,32 @@ class TestExplorerIntegration:
         assert (serialized_points(auto.pareto)
                 == serialized_points(in_memory.pareto))
 
-    def test_explore_scalar_never_auto_streams(self, igf_kernel,
-                                               monkeypatch):
-        import repro.dse.explorer as explorer_module
-        monkeypatch.setattr(explorer_module, "STREAM_AUTO_THRESHOLD", 1)
+    def test_stream_on_override_backends_matches_the_oracle_pareto(
+            self, igf_kernel):
+        for backend in (Halved, Congested):
+            explorer = small_explorer(igf_kernel,
+                                      throughput_model_factory=backend)
+            unconstrained = explore_scalar(explorer, 6, 128, 96)
+            rates = sorted(p.frames_per_second
+                           for p in unconstrained.design_points)
+            for constraints in (None, DseConstraints(
+                    min_frames_per_second=rates[len(rates) // 2],
+                    device_only=True)):
+                streamed = explorer.explore(6, 128, 96, constraints,
+                                            stream=True, chunk_rows=4)
+                oracle = explore_scalar(explorer, 6, 128, 96, constraints)
+                assert oracle.pareto
+                assert (serialized_points(streamed.pareto)
+                        == serialized_points(oracle.pareto))
+                # the adapter declines the min-fps suffix pushdown
+                assert streamed.streaming["throughput_pruned_rows"] == 0
+
+    def test_zero_chunk_rows_is_rejected_not_defaulted(self, igf_kernel):
         explorer = small_explorer(igf_kernel)
-        result = explorer.explore_scalar(6, 128, 96)
-        assert result.streaming is None
-
-    def test_stream_requires_columnar_capable_backend(self, igf_kernel):
-        class ScalarOnly(ThroughputModel):
-            def evaluate(self, *args, **kwargs):
-                return super().evaluate(*args, **kwargs)
-
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=ScalarOnly)
-        with pytest.raises(ValueError, match="columnar-capable"):
-            explorer.explore(6, 128, 96, stream=True)
-        # and auto-select quietly stays on the scalar path
-        result = explorer.explore(6, 128, 96)
-        assert result.streaming is None
+        with pytest.raises(ValueError, match="chunk_rows"):
+            explorer.explore(6, 128, 96, stream=True, chunk_rows=0)
+        default = explorer.explore(6, 128, 96, stream=True, chunk_rows=None)
+        assert default.streaming["chunk_rows"] == DEFAULT_CHUNK_ROWS
 
 
 class TestFrontierStateBound:

@@ -217,8 +217,6 @@ class TestWorkerHandoff:
                                     jobs=2, executor="threads")
         assert serialized_points(traced.pareto) \
             == serialized_points(untraced.pareto)
-        assert serialized_points(traced.top_points) \
-            == serialized_points(untraced.top_points)
         assert traced.admitted_rows == untraced.admitted_rows
 
 
