@@ -27,8 +27,9 @@
 #                               # workers (same ceiling, digest identity
 #                               # vs the serial fold)
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
-#                               # differential suite plus the frame/golden
-#                               # boundary-contract regressions, with a
+#                               # differential suite, the frame/golden
+#                               # boundary-contract regressions and the
+#                               # validate cross-check tests, with a
 #                               # wall-clock budget so the Hypothesis suite
 #                               # can't silently balloon
 #   scripts/check.sh --obs      # observability tier: the tracing/metrics/
@@ -89,13 +90,15 @@ PYEOF
 check_simulation_imports() {
     # Same deployment-footprint rule for the simulation/validation layer:
     # it backs the `validate` job class in production services, so it must
-    # import with nothing beyond NumPy + the stdlib.
+    # import with nothing beyond NumPy + the stdlib.  The scalar simulation
+    # oracles live under tests/oracles and must stay out of it too.
     python - <<'PYEOF'
 import builtins
 import sys
 
 sys.path.insert(0, "src")
-BLOCKED = ("hypothesis", "pytest", "matplotlib", "pandas", "scipy", "yaml")
+BLOCKED = ("hypothesis", "pytest", "matplotlib", "pandas", "scipy", "yaml",
+           "tests", "oracles")
 real_import = builtins.__import__
 
 
@@ -103,8 +106,9 @@ def guarded(name, *args, **kwargs):
     root = name.split(".")[0]
     if root in BLOCKED:
         raise SystemExit(
-            f"error: repro.simulation pulled optional dependency {root!r} "
-            f"into its import closure (only NumPy + stdlib are allowed)")
+            f"error: repro.simulation pulled {root!r} into its import "
+            f"closure (only NumPy + stdlib are allowed; test oracles stay "
+            f"in tests/)")
     return real_import(name, *args, **kwargs)
 
 
@@ -112,8 +116,9 @@ builtins.__import__ = guarded
 import repro.simulation  # noqa: F401  (the guard is the side effect)
 import repro.simulation.validation  # noqa: F401  (validate job backend)
 
-non_stdlib = [name for name in BLOCKED if name in sys.modules]
-assert not non_stdlib, non_stdlib
+leaked = sorted(name for name in sys.modules
+                if name.split(".")[0] in BLOCKED)
+assert not leaked, leaked
 print(f"simulation import guard ok ({len(sys.modules)} modules, "
       f"numpy {sys.modules['numpy'].__version__})")
 PYEOF
@@ -201,6 +206,7 @@ case "${1:-}" in
         python -m pytest -x -q \
         tests/property/test_simulator_differential.py \
         tests/simulation/test_frame_and_golden.py \
+        tests/simulation/test_validate_workload.py \
         tests/service/test_validate_job.py "$@" || sim_status=$?
     if [ "$sim_status" -eq 124 ]; then
         echo "error: simulation tier exceeded its 300s wall-clock budget" >&2

@@ -6,22 +6,21 @@ Two complementary views are provided:
   either by numerically evaluating the symbolic cone expression DAG
   (``mode="expression"``, the strongest check of the symbolic layer) or by
   applying the kernel to each tile region with NumPy (``mode="region"``).
-  The default path is vectorized: one array pass evaluates every tile (and,
-  via :meth:`FunctionalConeSimulator.run_batch`, every frame of a batch) at
-  once.  The original tile-by-tile walk is preserved as
-  :meth:`FunctionalConeSimulator.run_scalar` and serves as the differential
-  oracle — the property suite pins the two paths bit-identical.
+  One vectorized array pass evaluates every tile (and, via
+  :meth:`FunctionalConeSimulator.run_batch`, every frame of a batch) at
+  once.  The tile-by-tile walk :meth:`FunctionalConeSimulator.run_scalar`
+  stays in production: :func:`repro.simulation.validation.validate_workload`
+  runs it on a cropped frame and reports whether the vectorized pass matches
+  it bit for bit.
 
 * :class:`TileCascadeCycleSimulator` — a transaction-level cycle counter for
   the tile cascade; it cross-checks the analytic throughput model of
   :mod:`repro.estimation.throughput_model`.  Cycle totals are aggregated by
-  a sequential-scan array reduction (bit-identical to the per-tile loop,
-  preserved as :meth:`TileCascadeCycleSimulator.simulate_frame_scalar`).
+  a sequential-scan array reduction over one representative tile.
 
-Both classes select the fast path behind
-:func:`repro.simulation.vectorized.supports_vectorized`: subclasses that
-override a scalar hook fall back to the scalar loop, so their overrides are
-honored.
+The per-tile cycle walk, like the golden model's per-pixel walk, is a test
+oracle (``tests/oracles/scalar_simulation.py``); the property suite pins
+each production path bit-identical to its oracle.
 """
 
 from __future__ import annotations
@@ -33,25 +32,18 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.architecture.template import ConeArchitecture
-from repro.estimation.throughput_model import ConePerformance, ThroughputModel
+from repro.estimation.throughput_model import ConePerformance
 from repro.frontend.kernel_ir import StencilKernel
 from repro.simulation.frame import Frame, FrameSet
 from repro.simulation.golden import GoldenExecutor
 from repro.simulation.memory import OffChipMemoryModel, OnChipBufferModel
-from repro.simulation.vectorized import supports_vectorized
 from repro.symbolic.cone_expression import ConeExpressionBuilder, ConeExpressions
-from repro.symbolic.executor import READONLY_LEVEL
 from repro.symbolic.expression import evaluate, evaluate_array
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 
 
 class FunctionalConeSimulator:
     """Functional execution of a cone architecture over a frame."""
-
-    #: Scalar hooks the vectorized pass shadows — overriding either in a
-    #: subclass routes :meth:`run`/:meth:`run_batch` through the preserved
-    #: tile-by-tile loop so the override is honored.
-    _vectorized_hooks = ("_evaluate_tile_expressions", "_evaluate_tile_region")
 
     def __init__(self, kernel: StencilKernel,
                  params: Optional[Mapping[str, float]] = None) -> None:
@@ -71,9 +63,16 @@ class FunctionalConeSimulator:
         return self._cone_cache[key]
 
     @staticmethod
-    def _check_mode(mode: str) -> None:
+    def _check_arguments(iterations: int, window_side: int,
+                         mode: str) -> None:
         if mode not in ("expression", "region"):
             raise ValueError("mode must be 'expression' or 'region'")
+        if window_side < 1:
+            raise ValueError(
+                f"window_side must be at least 1, got {window_side}")
+        if iterations < 0:
+            raise ValueError(
+                f"iterations must be non-negative, got {iterations}")
 
     def run(self, frames: FrameSet, iterations: int, window_side: int,
             mode: str = "expression") -> FrameSet:
@@ -85,14 +84,9 @@ class FunctionalConeSimulator:
         clamp-to-edge level-0 data, which differs from clamping at every
         iteration only in a border band of width ``radius * iterations``).
 
-        All tiles are evaluated by one vectorized array pass; the preserved
-        tile loop (:meth:`run_scalar`) is the bit-identical differential
-        oracle, and is also the path taken when a subclass overrides one of
-        the scalar tile hooks.
+        All tiles are evaluated by one vectorized array pass; the tile loop
+        (:meth:`run_scalar`) is its bit-identical twin.
         """
-        self._check_mode(mode)
-        if not supports_vectorized(self):
-            return self.run_scalar(frames, iterations, window_side, mode)
         return self.run_batch([frames], iterations, window_side, mode)[0]
 
     def run_batch(self, frame_sets: Iterable[FrameSet], iterations: int,
@@ -106,11 +100,8 @@ class FunctionalConeSimulator:
         Frame sets of different shapes are grouped and batched per shape;
         the output order always matches the input order.
         """
-        self._check_mode(mode)
+        self._check_arguments(iterations, window_side, mode)
         frame_sets = list(frame_sets)
-        if not supports_vectorized(self):
-            return [self.run_scalar(frames, iterations, window_side, mode)
-                    for frames in frame_sets]
         groups: Dict[Tuple[int, int], List[int]] = {}
         for index, frames in enumerate(frame_sets):
             groups.setdefault((frames.height, frames.width), []).append(index)
@@ -138,8 +129,12 @@ class FunctionalConeSimulator:
 
     def run_scalar(self, frames: FrameSet, iterations: int, window_side: int,
                    mode: str = "expression") -> FrameSet:
-        """Tile-by-tile differential oracle of :meth:`run` (bit-identical)."""
-        self._check_mode(mode)
+        """Tile-by-tile twin of :meth:`run` (bit-identical).
+
+        :func:`repro.simulation.validation.validate_workload` runs it on a
+        cropped frame as the production cross-check of the vectorized pass.
+        """
+        self._check_arguments(iterations, window_side, mode)
         height, width = frames.height, frames.width
         state_fields = self.kernel.state_field_names
         result = frames.copy()
@@ -269,7 +264,7 @@ class FunctionalConeSimulator:
         return outputs
 
     # ------------------------------------------------------------------ #
-    # scalar tile hooks (the differential oracle, and the extension points)
+    # per-tile evaluation (the tile loop of :meth:`run_scalar`)
 
     def _evaluate_tile_expressions(self, frames: FrameSet, depth: int,
                                    window_side: int, tile_y: int, tile_x: int
@@ -339,10 +334,6 @@ class CycleSimulationResult:
 class TileCascadeCycleSimulator:
     """Counts compute and memory cycles of the tile cascade."""
 
-    #: Overriding the per-tile walk in a subclass routes
-    #: :meth:`simulate_frame` through it instead of the array reduction.
-    _vectorized_hooks = ("simulate_frame_scalar",)
-
     def __init__(self, device: FpgaDevice = VIRTEX6_XC6VLX760,
                  bytes_per_element: int = 4,
                  onchip_port_elements_per_cycle: int = 16,
@@ -373,12 +364,9 @@ class TileCascadeCycleSimulator:
 
         Every tile of the cascade is identical, so the per-tile compute and
         transfer cycles are costed once and the frame totals come from a
-        sequential-scan array reduction — bit-identical to walking the tile
-        loop (:meth:`simulate_frame_scalar`, the differential oracle).
+        sequential-scan array reduction, bit-identical to walking the tile
+        loop one tile at a time.
         """
-        if not supports_vectorized(self):
-            return self.simulate_frame_scalar(
-                architecture, cone_performance, frame_width, frame_height)
         offchip = OffChipMemoryModel(self.device, self.bytes_per_element)
         onchip = OnChipBufferModel(
             capacity_bytes=self.device.onchip_memory_bytes,
@@ -423,63 +411,6 @@ class TileCascadeCycleSimulator:
             compute_cycles=compute_cycles,
             transfer_cycles=transfer_cycles,
             offchip_bytes=tiles * (load.bytes + store.bytes),
-            onchip_peak_bytes=onchip.peak_occupancy_bytes,
-            seconds_per_frame=seconds,
-            frames_per_second=1.0 / seconds if seconds > 0 else 0.0,
-        )
-
-    def simulate_frame_scalar(self, architecture: ConeArchitecture,
-                              cone_performance: Mapping[int, ConePerformance],
-                              frame_width: int, frame_height: int
-                              ) -> CycleSimulationResult:
-        """Walk every tile of the frame and accumulate cycle counts."""
-        offchip = OffChipMemoryModel(self.device, self.bytes_per_element)
-        onchip = OnChipBufferModel(
-            capacity_bytes=self.device.onchip_memory_bytes,
-            elements_per_cycle=self.onchip_port_elements_per_cycle,
-            bytes_per_element=self.bytes_per_element)
-
-        window = architecture.window_side
-        tiles_x = math.ceil(frame_width / window)
-        tiles_y = math.ceil(frame_height / window)
-        executions_per_level = architecture.executions_per_level()
-        read_elements, written_elements = architecture.offchip_elements_per_tile(
-            readonly_components=self.readonly_components)
-
-        compute_cycles = 0.0
-        transfer_cycles = 0.0
-        total_cycles = 0.0
-        onchip.occupy(architecture.onchip_elements())
-
-        for _tile_index in range(tiles_x * tiles_y):
-            load = offchip.transfer(read_elements, "tile input region")
-            store = offchip.transfer(written_elements, "tile output window")
-            tile_transfer = load.cycles + store.cycles
-
-            tile_compute = 0.0
-            for level_index, depth in enumerate(architecture.level_depths):
-                perf = cone_performance[depth]
-                instances = architecture.cone_counts.get(depth, 1)
-                executions = executions_per_level[level_index]
-                serialised = math.ceil(executions / max(1, instances))
-                geometry = architecture.geometry(depth)
-                feed_cycles = onchip.access_cycles(geometry.input_elements)
-                tile_compute += perf.latency_cycles + serialised * max(
-                    feed_cycles, perf.initiation_interval)
-
-            compute_cycles += tile_compute
-            transfer_cycles += tile_transfer
-            total_cycles += max(tile_compute, tile_transfer) + self.tile_overhead_cycles
-
-        clock = self.device.typical_clock_hz
-        seconds = total_cycles / clock
-        return CycleSimulationResult(
-            architecture_label=architecture.label(),
-            tiles=tiles_x * tiles_y,
-            total_cycles=total_cycles,
-            compute_cycles=compute_cycles,
-            transfer_cycles=transfer_cycles,
-            offchip_bytes=offchip.total_bytes,
             onchip_peak_bytes=onchip.peak_occupancy_bytes,
             seconds_per_frame=seconds,
             frames_per_second=1.0 / seconds if seconds > 0 else 0.0,

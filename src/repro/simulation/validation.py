@@ -16,8 +16,8 @@ frame geometry and packages the evidence as a JSON-round-tripping
 * per-field sha256 digests of both the simulated and the golden output
   frames (everything is seeded and deterministic, so a service-side
   validation is digest-identical to an in-process one);
-* a vectorized-vs-scalar bit-identity check against the preserved
-  ``run_scalar`` oracle (performed on a cropped frame so validation stays at
+* a vectorized-vs-scalar bit-identity check against the simulator's
+  tile-by-tile ``run_scalar`` walk (performed on a cropped frame so validation stays at
   interactive latency — the full-frame identity is pinned separately by the
   Hypothesis differential suite);
 * the frame-buffer baseline's cycle counts for the same scenario, for
@@ -188,7 +188,8 @@ def validate_workload(workload: "Workload", *,
     if mode not in ("expression", "region"):
         raise ValueError("mode must be 'expression' or 'region'")
     kernel = workload.resolve_kernel()
-    window = int(window_side) if window_side else max(workload.window_sides)
+    window = (max(workload.window_sides) if window_side is None
+              else int(window_side))
     if window < 1:
         raise ValueError("window_side must be positive")
     height, width = workload.frame_height, workload.frame_width
@@ -219,7 +220,7 @@ def validate_workload(workload: "Workload", *,
         simulated_digests[name] = _frame_digest(sim_data)
         golden_digests[name] = _frame_digest(gold_data)
 
-    # Bit-identity against the preserved tile-by-tile oracle, on a crop so
+    # Bit-identity against the tile-by-tile walk, on a crop so
     # validation of large frames stays at interactive latency (full-frame
     # identity is property-tested separately).
     oracle_h = min(height, ORACLE_SIDE_LIMIT)

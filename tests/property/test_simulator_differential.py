@@ -10,11 +10,12 @@ Two layers of evidence:
   whose dependency cone does not touch the frame border is bit-identical
   to Algorithm 1's result; border elements may differ only inside the
   clamp band of width ``radius * iterations``.
-* *implementation* (ISSUE 8 tentpole) — every vectorized path
-  (``GoldenExecutor.step``, both cone-simulator modes, ``run_batch``, the
-  cycle simulator, the frame-buffer batch evaluator) must be
-  **bit-identical** — not merely close — to the retained ``*_scalar``
-  walk on the same inputs, including degenerate 1×1 and 1×N frames.
+* *implementation* — every vectorized path (``GoldenExecutor.step``,
+  both cone-simulator modes, ``run_batch``, the cycle simulator) must be
+  **bit-identical** — not merely close — to its scalar walk on the same
+  inputs, including degenerate 1×1 and 1×N frames.  The golden and cycle
+  walks are the oracles in ``tests/oracles/scalar_simulation.py``; the cone
+  simulator's walk is its own ``run_scalar``.
 """
 
 import numpy as np
@@ -31,10 +32,12 @@ from repro.simulation.cone_simulator import (
     TileCascadeCycleSimulator,
 )
 from repro.simulation.frame import FrameSet
-from repro.simulation.framebuffer_baseline import FrameBufferArchitecture
 from repro.simulation.golden import GoldenExecutor
-from repro.simulation.vectorized import supports_vectorized
 from repro.synth.fpga_device import VIRTEX6_XC6VLX760
+from oracles.scalar_simulation import (
+    golden_run_scalar,
+    simulate_frame_scalar,
+)
 
 #: Single-state-field algorithms cheap enough for randomized sweeps (the
 #: multi-field Chambolle case is covered by its own dedicated test below).
@@ -213,7 +216,7 @@ def test_golden_step_bit_identical_to_scalar(algorithm, height, width, seed,
     frames = FrameSet.for_kernel(kernel, height, width, seed=seed)
     executor = GoldenExecutor(kernel)
     vectorized = executor.run(frames, iterations)
-    scalar = executor.run_scalar(frames, iterations)
+    scalar = golden_run_scalar(executor, frames, iterations)
     assert_frames_identical(vectorized, scalar,
                             f"golden {algorithm} {height}x{width} "
                             f"i{iterations}")
@@ -242,8 +245,8 @@ def test_cycle_simulator_bit_identical_to_scalar(window, depth, levels,
     simulator = TileCascadeCycleSimulator(VIRTEX6_XC6VLX760)
     fast = simulator.simulate_frame(architecture, performance,
                                     frame_width, frame_height)
-    slow = simulator.simulate_frame_scalar(architecture, performance,
-                                           frame_width, frame_height)
+    slow = simulate_frame_scalar(simulator, architecture, performance,
+                                 frame_width, frame_height)
     assert fast.tiles == slow.tiles
     assert fast.compute_cycles == slow.compute_cycles
     assert fast.transfer_cycles == slow.transfer_cycles
@@ -252,37 +255,6 @@ def test_cycle_simulator_bit_identical_to_scalar(window, depth, levels,
     assert fast.onchip_peak_bytes == slow.onchip_peak_bytes
     assert fast.seconds_per_frame == slow.seconds_per_frame
     assert fast.frames_per_second == slow.frames_per_second
-
-
-@given(widths=st.lists(st.integers(min_value=1, max_value=4000),
-                       min_size=1, max_size=8),
-       heights=st.lists(st.integers(min_value=1, max_value=4000),
-                        min_size=1, max_size=8),
-       iterations=st.integers(min_value=0, max_value=40))
-@settings(max_examples=25, deadline=None)
-def test_framebuffer_batch_bit_identical_to_scalar(widths, heights,
-                                                   iterations):
-    """``evaluate_batch`` columns vs. element-wise ``evaluate`` calls."""
-    size = min(len(widths), len(heights))
-    widths, heights = widths[:size], heights[:size]
-    baseline = FrameBufferArchitecture(get_algorithm("blur").kernel())
-    columns = baseline.evaluate_batch(widths, heights, iterations)
-    for index, (w, h) in enumerate(zip(widths, heights)):
-        report = baseline.evaluate(w, h, iterations)
-        assert bool(columns["frame_fits_onchip"][index]) \
-            == report.frame_fits_onchip
-        assert int(columns["onchip_bytes_required"][index]) \
-            == report.onchip_bytes_required
-        assert float(columns["offchip_bytes_per_frame"][index]) \
-            == report.offchip_bytes_per_frame
-        assert float(columns["compute_cycles_per_frame"][index]) \
-            == report.compute_cycles_per_frame
-        assert float(columns["transfer_cycles_per_frame"][index]) \
-            == report.transfer_cycles_per_frame
-        assert float(columns["seconds_per_frame"][index]) \
-            == report.seconds_per_frame
-        assert float(columns["frames_per_second"][index]) \
-            == report.frames_per_second
 
 
 # ---------------------------------------------------------------------- #
@@ -320,47 +292,3 @@ def test_run_batch_multi_field():
         single = simulator.run(frames, 1, 2, mode="region")
         assert_frames_identical(batched[position], single,
                                 f"chamb batch[{position}]")
-
-
-# ---------------------------------------------------------------------- #
-# the override-fallback contract
-
-
-class _PaddedRegionSimulator(FunctionalConeSimulator):
-    """Subclass overriding a scalar hook: must disable the fast path."""
-
-    def _evaluate_tile_region(self, *args, **kwargs):
-        result = super()._evaluate_tile_region(*args, **kwargs)
-        return {name: arrays + 1000.0 for name, arrays in result.items()}
-
-
-def test_overridden_scalar_hook_disables_vectorized_path():
-    kernel = get_algorithm("blur").kernel()
-    custom = _PaddedRegionSimulator(kernel)
-    assert supports_vectorized(FunctionalConeSimulator(kernel))
-    assert not supports_vectorized(custom)
-    frames = FrameSet.for_kernel(kernel, 6, 6, seed=3)
-    result = custom.run(frames, 1, 2, mode="region")
-    # the override's +1000 must be visible: run() fell back to the scalar
-    # walk instead of silently bypassing the subclass's semantics
-    assert float(result["f"].data.min()) > 900.0
-
-
-def test_cycle_simulator_override_fallback():
-    import dataclasses
-
-    class _Tweaked(TileCascadeCycleSimulator):
-        def simulate_frame_scalar(self, architecture, cone_performance,
-                                  frame_width, frame_height):
-            result = super().simulate_frame_scalar(
-                architecture, cone_performance, frame_width, frame_height)
-            return dataclasses.replace(result, architecture_label="tweaked")
-
-    architecture = ConeArchitecture(kernel_name="blur", window_side=4,
-                                    level_depths=[2, 2],
-                                    cone_counts={2: 2}, radius=1)
-    performance = {2: ConePerformance(2, 4, 4)}
-    tweaked = _Tweaked(VIRTEX6_XC6VLX760)
-    assert not supports_vectorized(tweaked)
-    result = tweaked.simulate_frame(architecture, performance, 64, 64)
-    assert result.architecture_label == "tweaked"

@@ -62,6 +62,26 @@ class TestFunctionalSimulator:
         with pytest.raises(ValueError):
             FunctionalConeSimulator(igf_kernel).run(frames, 1, 2, mode="magic")
 
+    @pytest.mark.parametrize("entry", ["run_batch", "run_scalar"])
+    @pytest.mark.parametrize("mode", ["region", "expression"])
+    @pytest.mark.parametrize("iterations,window_side,message", [
+        (2, 0, "window_side"),
+        (2, -3, "window_side"),
+        (-1, 3, "iterations"),
+        (-2, 2, "iterations"),
+    ])
+    def test_invalid_window_or_iterations_rejected(self, igf_kernel, entry,
+                                                   mode, iterations,
+                                                   window_side, message):
+        """Bad arguments fail with a clear ``ValueError`` at the entry,
+        never deep in NumPy or as a silent no-op."""
+        simulator = FunctionalConeSimulator(igf_kernel)
+        frames = FrameSet.for_kernel(igf_kernel, 8, 8, seed=1)
+        target = [frames] if entry == "run_batch" else frames
+        with pytest.raises(ValueError, match=message):
+            getattr(simulator, entry)(target, iterations, window_side,
+                                      mode=mode)
+
     def test_cone_cache_reused(self, igf_kernel):
         simulator = FunctionalConeSimulator(igf_kernel)
         frames = FrameSet.for_kernel(igf_kernel, 8, 8)
