@@ -136,7 +136,9 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # everything above is also scrape-able: workers and the router expose
-    # Prometheus text metrics (GET /metrics) rendered from stats().
+    # Prometheus text metrics (GET /metrics) rendered from the same typed
+    # instruments their stats() documents read; the router serves only
+    # the families it owns (router, admission, membership).
     with FleetRouter.local(2) as fleet:
         lines = [line for line in fleet.metrics_text().splitlines()
                  if line.startswith("repro_fleet_membership")]

@@ -39,7 +39,8 @@
 #                               # process boundary, the trace comes back
 #                               # via GET /trace/<id> and the CLI, and
 #                               # /metrics strict-parses as 0.0.4 with
-#                               # correctly typed families
+#                               # correctly typed families, and every
+#                               # counter is non-decreasing across a job
 #   scripts/check.sh -k store   # extra args are passed through to pytest
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -220,7 +221,8 @@ case "${1:-}" in
     # capture/absorb handoff, typed exposition, propagation edges), then
     # the live smoke: a real `python -m repro serve` subprocess proves
     # the X-Repro-Trace header joins traces across a process boundary
-    # and /metrics survives the strict 0.0.4 parser.
+    # and /metrics survives the strict 0.0.4 parser, with no counter
+    # family going down between a scrape before and one after its job.
     run_pytest -x -q tests/obs "$@"
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         python scripts/obs_smoke.py

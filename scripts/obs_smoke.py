@@ -12,7 +12,9 @@ process boundary:
   ``trace_event`` JSON;
 * ``GET /metrics`` parses under the strict Prometheus 0.0.4 validator
   (:func:`repro.obs.metrics.parse_exposition`) with monotone totals
-  typed ``counter`` and the queue-wait histogram's full bucket family.
+  typed ``counter`` and the queue-wait histogram's full bucket family;
+* every ``counter`` family scraped before the job is still there after
+  it, and no counter sample went down.
 
 Usage::
 
@@ -119,7 +121,25 @@ def check_trace_surface(client: ReproClient, url: str) -> None:
           f"{len(events)} events)")
 
 
-def check_metrics_surface(client: ReproClient) -> None:
+def check_counters_monotone(before: dict, after: dict) -> int:
+    """Assert no counter family vanished or decreased; returns the number
+    of counter samples compared."""
+    compared = 0
+    for family, entry in before.items():
+        if entry["type"] != "counter":
+            continue
+        later = after.get(family)
+        assert later is not None and later["type"] == "counter", (
+            f"counter family {family} vanished or changed type")
+        values = {name: value for name, _labels, value in later["samples"]}
+        for name, _labels, value in entry["samples"]:
+            assert values.get(name, float("-inf")) >= value, (
+                f"counter {name} went down: {value} -> {values.get(name)}")
+            compared += 1
+    return compared
+
+
+def check_metrics_surface(client: ReproClient, before_text: str) -> None:
     text = client.metrics()
     families = parse_exposition(text)  # strict 0.0.4 validation
     for family, kind in (("repro_queue_submitted", "counter"),
@@ -135,8 +155,12 @@ def check_metrics_surface(client: ReproClient) -> None:
     count = next(value for name, _labels, value in waits
                  if name.endswith("_count"))
     assert count >= 1, "queue-wait histogram recorded no observations"
+    compared = check_counters_monotone(parse_exposition(before_text),
+                                       families)
+    assert compared > 0, "the pre-job scrape exposed no counters"
     print(f"  /metrics ok ({len(families)} families strictly parsed, "
-          f"queue-wait count {count:.0f})")
+          f"queue-wait count {count:.0f}, {compared} counters "
+          f"non-decreasing across the job)")
 
 
 def main() -> int:
@@ -146,8 +170,9 @@ def main() -> int:
         client = ReproClient(url)
         assert client.healthz()["ok"]
         print(f"  serving at {url}")
+        before_text = client.metrics()
         check_trace_surface(client, url)
-        check_metrics_surface(client)
+        check_metrics_surface(client, before_text)
         client.shutdown(drain=True)
     except BaseException:
         process.kill()

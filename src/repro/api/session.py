@@ -20,6 +20,7 @@ results come back in input order and are byte-identical to a serial run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import threading
@@ -114,19 +115,23 @@ class SessionStats:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation."""
-        return {
-            "workloads_run": self.workloads_run,
-            "workloads_failed": self.workloads_failed,
-            "characterization_cache_hits": self.characterization_cache_hits,
-            "characterization_cache_misses": self.characterization_cache_misses,
-            "synthesis_runs": self.synthesis_runs,
-            "tool_runtime_spent_s": self.tool_runtime_spent_s,
-            "tool_runtime_avoided_s": self.tool_runtime_avoided_s,
-            "workload_time_s": self.workload_time_s,
-            "store_disk_hits": self.store_disk_hits,
-            "store_disk_misses": self.store_disk_misses,
-            "store_writes": self.store_writes,
-        }
+        return dataclasses.asdict(self)
+
+
+#: The :class:`SessionStats` totals the synthesizers of cached explorers
+#: keep, and how to read each from one explorer.  They are counted live
+#: and folded into the session when an explorer leaves its cache.
+_EXPLORER_TOTALS: Dict[str, Callable[[DesignSpaceExplorer], float]] = {
+    "synthesis_runs": lambda explorer: explorer.synthesizer.runs,
+    "tool_runtime_spent_s":
+        lambda explorer: explorer.synthesizer.total_tool_runtime_s,
+    "tool_runtime_avoided_s":
+        lambda explorer: explorer.tool_runtime_avoided_total_s(),
+}
+
+#: Store-observer events -> the :class:`SessionStats` counter they move.
+_STORE_EVENT_COUNTERS = {"hit": "store_disk_hits", "miss": "store_disk_misses",
+                         "write": "store_writes"}
 
 
 class Session:
@@ -144,8 +149,8 @@ class Session:
     shares one session across every request thread): the cache registries
     are guarded by an internal lock, racing threads on one cold
     characterization key serialize on that key's lock so the synthesis
-    happens exactly once, and the statistics counters take a dedicated
-    stats lock so no increment is ever lost to a read-modify-write race.
+    happens exactly once, and the statistics are counters of the
+    session's own :attr:`metrics` registry, each incremented atomically.
     """
 
     def __init__(self, on_event: Optional[Callable[[SessionEvent], None]] = None,
@@ -181,14 +186,21 @@ class Session:
         self._registry_lock = threading.Lock()
         self._callbacks_lock = threading.Lock()
         self._callbacks: List[Callable[[SessionEvent], None]] = []
-        # SessionStats mutations get their own (uncontended) lock: store
-        # observers and per-workload accounting fire from every worker
-        # thread of a batch — and from every service scheduler dispatch —
-        # so funnelling them through the registry lock would serialize
-        # bookkeeping against cache lookups, and leaving them bare would
-        # lose increments to the classic read-modify-write race.
-        self._stats_lock = threading.Lock()
-        self._stats = SessionStats()
+        #: This session's instruments: one ``repro_session_<field>``
+        #: counter per :class:`SessionStats` field (what :attr:`stats`
+        #: reads) plus the stage-latency histogram.
+        self.metrics = obs_metrics.MetricsRegistry()
+        #: Explorer totals of explorers no longer cached (evicted, or run
+        #: in a worker process); guarded by the registry lock.
+        self._folded: Dict[str, float] = dict.fromkeys(_EXPLORER_TOTALS, 0)
+        self._counters = {
+            field.name: self.metrics.counter(
+                f"repro_session_{field.name}",
+                read=(functools.partial(self._explorer_total, field.name)
+                      if field.name in _EXPLORER_TOTALS else None))
+            for field in dataclasses.fields(SessionStats)}
+        self._stage_seconds = self.metrics.histogram(
+            "repro_session_stage_seconds")
         # events raised while this thread holds a key lock are buffered here
         # and flushed after release, so callbacks never run under internal
         # locks (a re-entrant callback would deadlock otherwise)
@@ -292,16 +304,9 @@ class Session:
                                   workload.throughput_estimator)]
 
     def _record_store_event(self, event: str) -> None:
-        # dedicated stats lock: store traffic is reported from every
-        # worker thread, and a bare += here would drop counts under
-        # concurrency (read-modify-write) — see tests/api/test_concurrency
-        with self._stats_lock:
-            if event == "hit":
-                self._stats.store_disk_hits += 1
-            elif event == "miss":
-                self._stats.store_disk_misses += 1
-            elif event == "write":
-                self._stats.store_writes += 1
+        name = _STORE_EVENT_COUNTERS.get(event)
+        if name is not None:
+            self._counters[name].inc()
 
     @classmethod
     def _result_store_key(cls, workload: Workload) -> str:
@@ -366,8 +371,8 @@ class Session:
             for key in [k for k in self._explorers
                         if k not in self._active_keys]:
                 explorer = self._explorers.pop(key)
-                with self._stats_lock:
-                    self._fold_explorer(self._stats, explorer)
+                for name, total in _EXPLORER_TOTALS.items():
+                    self._folded[name] += total(explorer)
             # _key_locks is deliberately kept: an in-flight run may hold one
             # of these locks, and a post-evict rebuild of the same key must
             # serialize against it rather than against a fresh lock.
@@ -392,8 +397,7 @@ class Session:
                 def observe(stage: str, status: str,
                             elapsed: Optional[float]) -> None:
                     if status == "finished" and elapsed is not None:
-                        obs_metrics.registry().histogram(
-                            "repro_session_stage_seconds").observe(elapsed)
+                        self._stage_seconds.observe(elapsed)
                     self._emit(_event(f"stage-{status}", workload,
                                       stage=stage, elapsed_s=elapsed))
 
@@ -465,9 +469,7 @@ class Session:
                                 workload, stored)
                 if stored is not None:
                     elapsed = time.perf_counter() - started
-                    with self._stats_lock:
-                        self._stats.workloads_run += 1
-                        self._stats.workload_time_s += elapsed
+                    self._count_workload(elapsed)
                     self._emit(_event("cache-hit", workload,
                                             detail=detail))
                     self._emit(_event("workload-finished", workload,
@@ -496,11 +498,9 @@ class Session:
                         # reuse (e.g. new depth families for a higher
                         # iteration count) honestly counts as a miss.
                         hit = explorer.synthesizer.runs == runs_before
-                        with self._stats_lock:
-                            if hit:
-                                self._stats.characterization_cache_hits += 1
-                            else:
-                                self._stats.characterization_cache_misses += 1
+                        self._counters[
+                            "characterization_cache_hits" if hit
+                            else "characterization_cache_misses"].inc()
                         if hit:
                             self._emit(_event(
                                 "cache-hit", workload,
@@ -509,8 +509,7 @@ class Session:
             finally:
                 self._mark_active(key, -1)
         except Exception as error:
-            with self._stats_lock:
-                self._stats.workloads_failed += 1
+            self._counters["workloads_failed"].inc()
             self._emit(_event("workload-failed", workload,
                                     elapsed_s=time.perf_counter() - started,
                                     detail=str(error)))
@@ -534,9 +533,7 @@ class Session:
                 if written is not None:
                     self._record_store_event("write")
         elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self._stats.workloads_run += 1
-            self._stats.workload_time_s += elapsed
+        self._count_workload(elapsed)
         self._emit(_event("workload-finished", workload,
                                 elapsed_s=elapsed))
         return result
@@ -579,16 +576,13 @@ class Session:
                 with self._registry_lock:
                     cached = self._validations.setdefault(cache_key, result)
         except Exception as error:
-            with self._stats_lock:
-                self._stats.workloads_failed += 1
+            self._counters["workloads_failed"].inc()
             self._emit(_event("workload-failed", workload,
                                     elapsed_s=time.perf_counter() - started,
                                     detail=str(error)))
             raise
         elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self._stats.workloads_run += 1
-            self._stats.workload_time_s += elapsed
+        self._count_workload(elapsed)
         if hit:
             self._emit(_event("cache-hit", workload,
                                     detail="validation evidence"))
@@ -683,11 +677,13 @@ class Session:
         """Fold a worker-process session's ``SessionStats.to_dict()`` into
         this session's counters (worker explorers die with their process, so
         their already-folded totals arrive through the payload)."""
-        with self._stats_lock:
-            for field in dataclasses.fields(SessionStats):
-                value = payload.get(field.name, 0)
-                setattr(self._stats, field.name,
-                        getattr(self._stats, field.name) + value)
+        for name, counter in self._counters.items():
+            value = payload.get(name, 0)
+            if name in _EXPLORER_TOTALS:
+                with self._registry_lock:
+                    self._folded[name] += value
+            else:
+                counter.inc(value)
 
     def _emit_batch_event(self, kind: str, workload: Workload,
                           elapsed_s: Optional[float] = None,
@@ -718,31 +714,29 @@ class Session:
     # ------------------------------------------------------------------ #
     # accounting
 
+    def _count_workload(self, elapsed: float) -> None:
+        self._counters["workloads_run"].inc()
+        self._counters["workload_time_s"].inc(elapsed)
+
+    def _explorer_total(self, name: str) -> float:
+        """Folded plus live explorer total ``name`` (a counter's read)."""
+        # folded totals and the live explorers are captured together under
+        # the registry lock, where evict() folds, so an evicted explorer
+        # is counted exactly once
+        with self._registry_lock:
+            folded = self._folded[name]
+            explorers = list(self._explorers.values())
+        total = _EXPLORER_TOTALS[name]
+        return folded + sum(total(explorer) for explorer in explorers)
+
     @property
     def stats(self) -> SessionStats:
         """Aggregated counters, including synthesizer totals of every cached
         explorer."""
-        # registry -> stats nesting (same order as evict's fold), so a
-        # concurrent evict() can never fold an explorer's counters into
-        # _stats between our base snapshot and our explorer listing —
-        # which would drop that explorer's synthesis totals from the view
-        with self._registry_lock:
-            with self._stats_lock:
-                # full-field snapshot (includes counters folded in from
-                # explorers evicted earlier)
-                stats = dataclasses.replace(self._stats)
-            explorers = list(self._explorers.values())
-        for explorer in explorers:
-            self._fold_explorer(stats, explorer)
-        return stats
-
-    @staticmethod
-    def _fold_explorer(stats: SessionStats,
-                       explorer: DesignSpaceExplorer) -> None:
-        """Fold one explorer's synthesizer counters into a stats object."""
-        stats.synthesis_runs += explorer.synthesizer.runs
-        stats.tool_runtime_spent_s += explorer.synthesizer.total_tool_runtime_s
-        stats.tool_runtime_avoided_s += explorer.tool_runtime_avoided_total_s()
+        values = self.metrics.values("repro_session_")
+        return SessionStats(**{
+            field.name: type(field.default)(values[field.name])
+            for field in dataclasses.fields(SessionStats)})
 
 
 class _DeferredEvents:

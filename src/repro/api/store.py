@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.explorer import ConeCharacterization
 from repro.estimation.area_model import AreaModelValidation
+from repro.obs.metrics import MetricsRegistry
 
 #: Bumped whenever an artifact payload changes incompatibly; artifacts of
 #: other versions are ignored (recomputed), never migrated in place.
@@ -67,30 +68,34 @@ class ArtifactStore:
         self.root = os.path.abspath(str(root) if root is not None
                                     else default_store_path())
         # Runtime counters of THIS store object (a Session additionally
-        # keeps per-session counters in SessionStats).
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.corrupt = 0
+        # keeps per-session counters in SessionStats), incremented under
+        # _lock so counters() snapshots never tear.
         self._lock = threading.Lock()
+        self.metrics = MetricsRegistry()
+        self._counters = {name: self.metrics.counter(f"repro_store_{name}")
+                          for name in ("hits", "misses", "writes", "corrupt")}
+
+    hits = property(lambda self: self._counters["hits"].value)
+    misses = property(lambda self: self._counters["misses"].value)
+    writes = property(lambda self: self._counters["writes"].value)
+    corrupt = property(lambda self: self._counters["corrupt"].value)
 
     # ------------------------------------------------------------------ #
     # pickling (executor worker processes receive store handles)
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickle everything but the (process-local) counter lock.
+        """Pickle the root and a snapshot of the counters.
 
         The on-disk contents are shared through the filesystem; the runtime
         counters travel as a snapshot and diverge per process — exactly like
         two independently constructed stores over one root.
         """
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
+        return {"root": self.root, "counters": self.counters()}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        ArtifactStore.__init__(self, state["root"])
+        for name, value in state["counters"].items():
+            self._counters[name].inc(value)
 
     # ------------------------------------------------------------------ #
     # addressing
@@ -297,12 +302,11 @@ class ArtifactStore:
         ``stats()`` and tests read through this instead.
         """
         with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "writes": self.writes, "corrupt": self.corrupt}
+            return self.metrics.values("repro_store_")
 
     def _count(self, counter: str) -> None:
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + 1)
+            self._counters[counter].inc()
 
     @staticmethod
     def _remove_quietly(path: str) -> bool:

@@ -12,13 +12,14 @@ not divide the iteration count waste area on the remainder cone.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import metrics as obs_metrics
 from repro.utils.validation import check_positive
 from repro.architecture.template import ConeArchitecture
 
@@ -184,61 +185,60 @@ class ArchitectureTable:
 #: recently used table instead of pinning old spaces in RAM.
 TABLE_CACHE_CAPACITY = 8
 
-_CacheInfo = namedtuple("CacheInfo", ("hits", "misses", "maxsize", "currsize"))
 
+class CountingLru:
+    """Thread-safe bounded LRU whose traffic counts are instruments.
 
-class _LruTableCache:
-    """Thread-safe bounded LRU with ``functools.lru_cache``'s stat surface.
-
-    Unlike ``lru_cache`` it counts evictions, making cache-thrash on
-    large-space runs observable through
-    :func:`repro.dse.engine.shared_table_stats`.
+    Declares ``<prefix>_hits`` / ``_misses`` / ``_evictions`` counters and
+    ``<prefix>_entries`` / ``_capacity`` gauges in the process-global
+    metrics registry, so cache thrash shows in ``stats()`` and on
+    ``GET /metrics`` alike.
     """
 
-    def __init__(self, builder, maxsize: int) -> None:
-        self._builder = builder
+    def __init__(self, prefix: str, maxsize: int) -> None:
         self._maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, ArchitectureTable]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        metrics = obs_metrics.registry()
+        self._hits = metrics.counter(f"{prefix}_hits")
+        self._misses = metrics.counter(f"{prefix}_misses")
+        self._evictions = metrics.counter(f"{prefix}_evictions")
+        metrics.gauge(f"{prefix}_entries", lambda: len(self._entries))
+        metrics.gauge(f"{prefix}_capacity", lambda: self._maxsize)
 
-    def __call__(self, *key):
+    def get(self, key):
+        """The cached entry (refreshing its recency), or ``None``."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return entry
-            self._misses += 1
-        built = self._builder(*key)
+            if entry is None:
+                self._misses.inc()
+                return None
+            self._entries.move_to_end(key)
+            self._hits.inc()
+            return entry
+
+    def put(self, key, value):
+        """File ``value`` unless a racing ``put`` already filed ``key``;
+        returns the cached entry."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                # a racing builder won; share its table
-                self._entries.move_to_end(key)
-                return entry
-            self._entries[key] = built
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
-                self._evictions += 1
-        return built
+                self._evictions.inc()
+            return value
 
-    def cache_info(self) -> _CacheInfo:
+    def reset_stats(self) -> None:
+        """Zero the counters but keep the cached entries."""
         with self._lock:
-            return _CacheInfo(self._hits, self._misses, self._maxsize,
-                              len(self._entries))
+            for counter in (self._hits, self._misses, self._evictions):
+                counter.reset()
 
-    @property
-    def evictions(self) -> int:
-        with self._lock:
-            return self._evictions
-
-    def cache_clear(self) -> None:
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
+        self.reset_stats()
 
 
 def _build_space_table(total_iterations: int, max_depth: Optional[int],
@@ -267,8 +267,8 @@ def _build_space_table(total_iterations: int, max_depth: Optional[int],
     return columns
 
 
-_space_table_cached = _LruTableCache(_build_space_table,
-                                     maxsize=TABLE_CACHE_CAPACITY)
+_space_table_cached = CountingLru("repro_shared_table",
+                                  maxsize=TABLE_CACHE_CAPACITY)
 
 
 def space_table(space: "ArchitectureSpace") -> ArchitectureTable:
@@ -279,10 +279,14 @@ def space_table(space: "ArchitectureSpace") -> ArchitectureTable:
     objects (and how they are costed), never which rows exist — so one
     table serves every device/format/frame scenario of a sweep.
     """
-    return _space_table_cached(space.total_iterations, space.max_depth,
-                               space.uniform_levels_only,
-                               tuple(space.window_sides),
-                               space.max_cones_per_depth)
+    key = (space.total_iterations, space.max_depth,
+           space.uniform_levels_only, tuple(space.window_sides),
+           space.max_cones_per_depth)
+    table = _space_table_cached.get(key)
+    if table is None:
+        # built outside the cache lock; a racing builder's table wins
+        table = _space_table_cached.put(key, _build_space_table(*key))
+    return table
 
 
 @dataclass

@@ -51,6 +51,7 @@ from repro.estimation.throughput_model import (
     ThroughputModel,
     performance_from_columns,
 )
+from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.explorer import ConeCharacterization
@@ -69,12 +70,7 @@ def shared_table_stats() -> Dict[str, Optional[int]]:
     (tables over huge spaces are tens of MB), so ``evictions`` counts how
     often a distinct shape-knob set pushed an old table out of RAM.
     """
-    from repro.architecture.enumeration import _space_table_cached
-
-    info = _space_table_cached.cache_info()
-    return {"hits": info.hits, "misses": info.misses,
-            "entries": info.currsize, "capacity": info.maxsize,
-            "evictions": _space_table_cached.evictions}
+    return obs_metrics.registry().values("repro_shared_table_")
 
 
 def supports_columnar(throughput_model: object) -> bool:

@@ -72,16 +72,14 @@ pushdown.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
-from repro.architecture.enumeration import ArchitectureSpace
+from repro.architecture.enumeration import ArchitectureSpace, CountingLru
 from repro.dse.constraints import DseConstraints
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -326,85 +324,12 @@ def _admitted_prefix(n_counts: int, area_limit: float,
     return low
 
 
-class _CountingLru:
-    """Tiny thread-safe LRU with hit/miss/eviction counters."""
-
-    def __init__(self, maxsize: int) -> None:
-        self._maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"hits": self._hits, "misses": self._misses,
-                    "evictions": self._evictions,
-                    "entries": len(self._entries),
-                    "capacity": self._maxsize}
-
-    def reset_stats(self) -> None:
-        """Zero the counters but keep the cached entries."""
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
-
-
-class _StreamCounters:
-    """Process-wide streamed-run counters behind a dedicated lock.
-
-    The same dedicated-stats-lock pattern as ``SessionStats``: concurrent
-    explorations (service bursts, thread-pool chunk workers reporting
-    through one parent) would otherwise lose increments to read-modify-write
-    races on plain module globals.
-    """
-
-    _FIELDS = ("runs", "parallel_runs", "chunks_materialized",
-               "duplicate_chunk_materializations", "throughput_pruned_rows")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self._FIELDS, 0)
-
-    def add(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                self._counts[name] += delta
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts = dict.fromkeys(self._FIELDS, 0)
-
-
-_mask_cache = _CountingLru(MASK_CACHE_CAPACITY)
-_counters = _StreamCounters()
+_mask_cache = CountingLru("repro_stream", MASK_CACHE_CAPACITY)
+_RUN_COUNTERS = {
+    name: obs_metrics.registry().counter(f"repro_stream_{name}")
+    for name in ("runs", "parallel_runs", "chunks_materialized",
+                 "duplicate_chunk_materializations",
+                 "throughput_pruned_rows")}
 
 
 def stream_stats() -> Dict[str, int]:
@@ -423,9 +348,7 @@ def stream_stats() -> Dict[str, int]:
     and ``throughput_pruned_rows`` the rows the min-fps suffix pushdown
     skipped before costing.
     """
-    stats = _mask_cache.stats()
-    stats.update(_counters.snapshot())
-    return stats
+    return obs_metrics.registry().values("repro_stream_")
 
 
 def reset_stream_stats() -> None:
@@ -434,13 +357,14 @@ def reset_stream_stats() -> None:
     Use :func:`clear_stream_caches` to also forget the admitted-row masks.
     """
     _mask_cache.reset_stats()
-    _counters.reset()
+    for counter in _RUN_COUNTERS.values():
+        counter.reset()
 
 
 def clear_stream_caches() -> None:
     """Reset the mask cache and all counters (tests and benchmarks)."""
     _mask_cache.clear()
-    _counters.reset()
+    reset_stream_stats()
 
 
 def _mask_cache_key(space: ArchitectureSpace,
@@ -988,11 +912,12 @@ def explore_stream(space: ArchitectureSpace,
             fold_histogram.observe(fold["fold_wall_s"])
             obs_trace.absorb(fold.get("spans"))
     duplicates = len(materialized) - len(set(materialized))
-    _counters.add(runs=1,
-                  parallel_runs=1 if len(folds) > 1 else 0,
-                  chunks_materialized=len(materialized),
-                  duplicate_chunk_materializations=duplicates,
-                  throughput_pruned_rows=throughput_pruned)
+    for name, delta in (("runs", 1),
+                        ("parallel_runs", 1 if len(folds) > 1 else 0),
+                        ("chunks_materialized", len(materialized)),
+                        ("duplicate_chunk_materializations", duplicates),
+                        ("throughput_pruned_rows", throughput_pruned)):
+        _RUN_COUNTERS[name].inc(delta)
 
     pareto_area, _pareto_time, pareto_rows = frontier.result()
     builder = _PointBuilder(space, characterizations, throughput_model,

@@ -24,9 +24,11 @@ the worker tier (no dormant denials); a multi-tenant deployment passes
 
 from __future__ import annotations
 
+import re
 import threading
 from typing import Dict, Iterable, Mapping, Optional, Set, Union
 
+from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import (
     AdmissionDeniedError,
     parse_priority,
@@ -41,6 +43,10 @@ DEFAULT_ROLES: Dict[str, tuple] = {
     "guest": ("background",),
 }
 
+#: Folds a role name into a legal metric-name suffix for the per-role
+#: submit counters.
+_ROLE_SANITIZER = re.compile(r"[^a-z0-9_]")
+
 
 class AdmissionPolicy:
     """Maps requester roles to the priority classes they may submit.
@@ -49,6 +55,12 @@ class AdmissionPolicy:
     :data:`DEFAULT_ROLES`); ``default_role`` is assumed when a
     submission carries no role.  Unknown roles are denied outright
     (an unknown principal holds no capabilities).
+
+    The policy's :attr:`metrics` hold the ``repro_fleet_admission_*``
+    decision counters and one ``repro_fleet_submits_role_<role>``
+    counter per defined role, counting that role's admitted
+    submissions — declared here, so a client's role string can never
+    create a metric family.
     """
 
     def __init__(self,
@@ -65,8 +77,13 @@ class AdmissionPolicy:
                 f"roles are {', '.join(sorted(self._grants))}")
         self._default_role = default_role
         self._lock = threading.Lock()
-        self._admitted = 0
-        self._denied = 0
+        self.metrics = MetricsRegistry()
+        self._admitted = self.metrics.counter("repro_fleet_admission_admitted")
+        self._denied = self.metrics.counter("repro_fleet_admission_denied")
+        self._submits = {
+            role: self.metrics.counter(
+                "repro_fleet_submits_role_" + _ROLE_SANITIZER.sub("_", role))
+            for role in self._grants}
 
     @property
     def default_role(self) -> str:
@@ -87,22 +104,23 @@ class AdmissionPolicy:
         granted = self._grants.get(role)
         if granted is None:
             with self._lock:
-                self._denied += 1
+                self._denied.inc()
             raise AdmissionDeniedError(
                 f"unknown role {role!r} holds no priority-class "
                 f"capabilities; roles are "
                 f"{', '.join(sorted(self._grants))}")
         if parsed not in granted:
             with self._lock:
-                self._denied += 1
+                self._denied.inc()
             raise AdmissionDeniedError(
                 f"role {role!r} is not granted the "
                 f"{priority_name(parsed)!r} priority class (granted: "
                 f"{', '.join(sorted(priority_name(p) for p in granted))})")
         with self._lock:
-            self._admitted += 1
+            self._admitted.inc()
+            self._submits[role].inc()
         return parsed
 
     def counters(self) -> Dict[str, int]:
         with self._lock:
-            return {"admitted": self._admitted, "denied": self._denied}
+            return self.metrics.values("repro_fleet_admission_")

@@ -23,6 +23,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ReproClient
 from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
 
@@ -47,14 +48,6 @@ class FleetMember:
         #: Jobs this router routed here (placement census).
         self.jobs_routed = 0
 
-    def probe(self) -> bool:
-        """One liveness probe (no state mutation; membership decides)."""
-        try:
-            health = self.client.healthz()
-        except Exception:
-            return False
-        return bool(health.get("ok"))
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -77,8 +70,16 @@ class FleetMembership:
         self._lock = threading.RLock()
         self._members: Dict[str, FleetMember] = {}
         self._ring = HashRing(replicas=replicas)
-        self._deaths = 0
-        self._revivals = 0
+        #: ``repro_fleet_membership_*`` plus the swallowed-probe-error count.
+        self.metrics = MetricsRegistry()
+        self._deaths = self.metrics.counter("repro_fleet_membership_deaths")
+        self._revivals = self.metrics.counter(
+            "repro_fleet_membership_revivals")
+        self.metrics.gauge("repro_fleet_membership_workers_total",
+                           lambda: len(self.all()))
+        self.metrics.gauge("repro_fleet_membership_workers_alive",
+                           lambda: len(self.alive()))
+        self._probe_errors = self.metrics.counter("repro_fleet_errors_probe")
 
     # ------------------------------------------------------------------ #
     # membership edits
@@ -107,7 +108,7 @@ class FleetMembership:
                 return False
             member.alive = False
             self._ring.remove(name)
-            self._deaths += 1
+            self._deaths.inc()
             return True
 
     def mark_alive(self, name: str) -> bool:
@@ -119,7 +120,7 @@ class FleetMembership:
             member.alive = True
             member.consecutive_failures = 0
             self._ring.add(name)
-            self._revivals += 1
+            self._revivals.inc()
             return True
 
     # ------------------------------------------------------------------ #
@@ -147,6 +148,16 @@ class FleetMembership:
     # ------------------------------------------------------------------ #
     # liveness sweep
 
+    def probe(self, member: FleetMember) -> bool:
+        """One liveness probe of ``member`` (no state mutation; callers
+        decide).  A probe that raises counts as failed."""
+        try:
+            health = member.client.healthz()
+        except Exception:
+            self._probe_errors.inc()
+            return False
+        return bool(health.get("ok"))
+
     def healthcheck(self, failure_threshold: int = 1
                     ) -> Tuple[List[str], List[str]]:
         """Probe every member; returns ``(newly_dead, newly_alive)``.
@@ -158,7 +169,7 @@ class FleetMembership:
         newly_dead: List[str] = []
         newly_alive: List[str] = []
         for member in self.all():
-            ok = member.probe()
+            ok = self.probe(member)
             with self._lock:
                 member.last_checked_at = time.time()
                 if ok:
@@ -175,13 +186,7 @@ class FleetMembership:
 
     def counters(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "workers_total": len(self._members),
-                "workers_alive": sum(1 for m in self._members.values()
-                                     if m.alive),
-                "deaths": self._deaths,
-                "revivals": self._revivals,
-            }
+            return self.metrics.values("repro_fleet_membership_")
 
 
 def build_member(spec: Union[str, Tuple[str, Any], Any],

@@ -33,7 +33,6 @@ overload the neighbors; backpressure is the correct answer).
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from collections import deque
@@ -50,6 +49,7 @@ from repro.fleet.membership import (
 )
 from repro.fleet.ring import DEFAULT_REPLICAS, routing_token
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import render_prometheus
 from repro.obs import trace as obs_trace
 from repro.service.jobs import (
     FleetOverloadedError,
@@ -63,7 +63,6 @@ from repro.service.jobs import (
     parse_job_kind,
     priority_name,
 )
-from repro.service.metrics import render_prometheus
 from repro.service.server import start_http_endpoint
 
 #: Upper bound of one worker-side wait chunk while the router waits for a
@@ -79,9 +78,10 @@ MAX_REPLAYS_SLACK = 2
 #: :meth:`FleetRouter.check_workers` probes on demand either way).
 DEFAULT_HEALTHCHECK_INTERVAL_S = 1.0
 
-#: Folds an arbitrary requester role into a legal metric-name suffix for
-#: the per-role submit counters.
-_ROLE_SANITIZER = re.compile(r"[^a-z0-9_]")
+#: The router's ``except Exception`` sites: each swallowed error there
+#: increments ``repro_fleet_errors_<site>`` (the membership counts probes).
+ERROR_SITES = ("handshake", "close", "healthcheck", "replay", "status",
+               "cancel", "worker_stats")
 
 
 class _RoutedJob:
@@ -169,14 +169,26 @@ class FleetRouter:
         self._sequence = 0
         self._closed = False
         self._started_at = time.time()
-        # lifetime counters
-        self._routed = 0
-        self._failovers = 0
-        self._replays = 0
-        self._shed = 0
-        self._done = 0
-        self._failed = 0
-        self._cancelled_count = 0
+        #: The router's own instruments; the admission policy and the
+        #: membership own theirs.  Counters move under the router lock.
+        self.metrics = obs_metrics.MetricsRegistry()
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        self._routed = counter("repro_fleet_router_routed")
+        self._failovers = counter("repro_fleet_router_failovers")
+        self._replays = counter("repro_fleet_router_replays")
+        self._shed = counter("repro_fleet_router_shed")
+        self._done = counter("repro_fleet_router_done")
+        self._failed = counter("repro_fleet_router_failed")
+        self._cancelled_count = counter("repro_fleet_router_cancelled")
+        gauge("repro_fleet_router_inflight", self._inflight)
+        gauge("repro_fleet_router_max_inflight", lambda: self._max_inflight)
+        gauge("repro_fleet_uptime_s", lambda: time.time() - self._started_at)
+        gauge("repro_fleet_ring_replicas",
+              lambda: self._membership.ring.replicas)
+        gauge("repro_fleet_store_shared",
+              lambda: len(self._store_roots()) <= 1)
+        self._errors = {site: counter(f"repro_fleet_errors_{site}")
+                        for site in ERROR_SITES}
         # transports / loops
         self._httpd = None
         self._http_thread: Optional[threading.Thread] = None
@@ -241,6 +253,7 @@ class FleetRouter:
                 "member_name": member.name,
             })
         except Exception:
+            self._errors["handshake"].inc()
             member.registration = None  # probed again by the healthcheck
 
     def _identity(self) -> str:
@@ -302,7 +315,8 @@ class FleetRouter:
                         else:
                             member.client.shutdown(drain=drain)
                     except Exception:
-                        pass  # a dead worker cannot be shut down twice
+                        # a dead worker cannot be shut down twice
+                        self._errors["close"].inc()
             if self._httpd is not None:
                 self._httpd.shutdown()
                 self._httpd.server_close()
@@ -327,7 +341,8 @@ class FleetRouter:
             try:
                 self.check_workers()
             except Exception:
-                pass  # the loop must survive any single sweep
+                # the loop must survive any single sweep
+                self._errors["healthcheck"].inc()
 
     def check_workers(self) -> Dict[str, List[str]]:
         """One synchronous healthcheck sweep; replays the in-flight jobs
@@ -344,7 +359,7 @@ class FleetRouter:
 
     def _on_worker_death(self, name: str) -> None:
         with self._lock:
-            self._failovers += 1
+            self._failovers.inc()
             stranded = [job for job in self._jobs.values()
                         if job.state == "routed"
                         and job.worker_name == name]
@@ -352,7 +367,8 @@ class FleetRouter:
             try:
                 self._replay(job)
             except Exception:
-                pass  # the result() waiter retries and surfaces the error
+                # the result() waiter retries and surfaces the error
+                self._errors["replay"].inc()
 
     def _replay(self, job: _RoutedJob) -> None:
         """Resubmit a stranded job to the ring successor (idempotent:
@@ -388,7 +404,7 @@ class FleetRouter:
                 job.worker_name = member.name
                 job.worker_job_id = handle.id
                 job.replays += 1
-                self._replays += 1
+                self._replays.inc()
                 member.jobs_routed += 1
             return
         raise last_error if last_error is not None else ServiceError(
@@ -414,9 +430,6 @@ class FleetRouter:
         """
         if not isinstance(workload, Workload):
             workload = Workload.from_dict(workload)
-        obs_metrics.registry().counter(
-            "repro_fleet_submits_role_"
-            + _ROLE_SANITIZER.sub("_", (role or "default").lower())).inc()
         with obs_trace.span("fleet.route", workload=workload.name,
                             role=role or "default") as route_span:
             return self._route(workload, priority, timeout_s, role, job,
@@ -435,10 +448,9 @@ class FleetRouter:
                 raise ServiceClosedError(
                     "the fleet router is draining and accepts no new jobs")
             if self._max_inflight is not None:
-                inflight = sum(1 for job in self._jobs.values()
-                               if job.state == "routed")
+                inflight = self._inflight()
                 if inflight >= self._max_inflight:
-                    self._shed += 1
+                    self._shed.inc()
                     retry_after = min(30.0, 1.0 + 0.1 * inflight)
                     raise QueueFullError(
                         f"router in-flight bound reached ({inflight} jobs "
@@ -448,7 +460,7 @@ class FleetRouter:
         preference = self._membership.preference(token)
         if not preference:
             with self._lock:
-                self._shed += 1
+                self._shed.inc()
             raise QueueFullError(
                 "no alive workers in the fleet; retry when one recovers",
                 retry_after_s=5.0)
@@ -467,7 +479,7 @@ class FleetRouter:
                 # member client with its own retry budget; either way the
                 # shed propagates — end-to-end backpressure (see docstring)
                 with self._lock:
-                    self._shed += 1
+                    self._shed.inc()
                 raise shed
             except ServiceError as error:
                 # unreachable/draining worker: confirm, fail over to the
@@ -490,7 +502,7 @@ class FleetRouter:
                                  member.name, handle.id, handle.coalesced,
                                  kind=kind, trace_id=trace_id)
                 self._jobs[job.id] = job
-                self._routed += 1
+                self._routed.inc()
                 member.jobs_routed += 1
             return job.snapshot()
         raise last_error if last_error is not None else ServiceError(
@@ -513,6 +525,7 @@ class FleetRouter:
         try:
             worker_view = member.client.status(job.worker_job_id)
         except Exception:
+            self._errors["status"].inc()
             worker_view = None  # worker gone; the fleet view stands
         if worker_view is not None:
             if job.state == "routed":
@@ -559,14 +572,14 @@ class FleetRouter:
                 if getattr(error, "terminal", True):
                     with self._lock:
                         job.state = "failed"
-                        self._failed += 1
+                        self._failed.inc()
                         self._remember_terminal(job)
                     raise
                 continue  # just this chunk expired; wait again
             except JobFailedError:
                 with self._lock:
                     job.state = "failed"
-                    self._failed += 1
+                    self._failed.inc()
                     self._remember_terminal(job)
                 raise
             except (JobCancelledError, UnknownJobError,
@@ -577,7 +590,7 @@ class FleetRouter:
                 continue
             with self._lock:
                 job.state = "done"
-                self._done += 1
+                self._done.inc()
                 self._remember_terminal(job)
             return result
 
@@ -586,7 +599,7 @@ class FleetRouter:
         if isinstance(error, JobCancelledError) and job.cancelled:
             with self._lock:
                 job.state = "cancelled"
-                self._cancelled_count += 1
+                self._cancelled_count.inc()
                 self._remember_terminal(job)
             raise error
         if isinstance(error, UnknownJobError):
@@ -595,16 +608,16 @@ class FleetRouter:
             # content-addressing makes the rerun digest-identical
             self._replay(job)
             return
-        if member.alive and member.probe():
+        if member.alive and self._membership.probe(member):
             # the worker is healthy, so the error is about the job itself
             with self._lock:
                 job.state = "failed"
-                self._failed += 1
+                self._failed.inc()
                 self._remember_terminal(job)
             raise error
         if self._membership.mark_dead(member.name):
             with self._lock:
-                self._failovers += 1
+                self._failovers.inc()
         self._replay(job)
 
     def _remember_terminal(self, job: _RoutedJob) -> None:
@@ -625,6 +638,7 @@ class FleetRouter:
         try:
             worker_view = member.client.cancel(job.worker_job_id)
         except Exception:
+            self._errors["cancel"].inc()
             worker_view = None
         snapshot = job.snapshot()
         if worker_view is not None:
@@ -646,12 +660,12 @@ class FleetRouter:
             "pending": 0, "running": 0, "shed": 0,
             "store_disk_hits": 0, "store_writes": 0, "synthesis_runs": 0,
         }
-        store_roots = set()
         for member in members:
             entry = member.snapshot()
             try:
                 worker_stats = member.client.stats()
             except Exception:
+                self._errors["worker_stats"].inc()
                 worker_stats = None
             entry["stats"] = worker_stats
             workers[member.name] = entry
@@ -666,24 +680,12 @@ class FleetRouter:
                 aggregate["store_writes"] += session.get("store_writes") or 0
                 aggregate["synthesis_runs"] += (
                     session.get("synthesis_runs") or 0)
-            if entry["store_root"] is not None:
-                store_roots.add(entry["store_root"])
         submitted = aggregate["submitted"]
         aggregate["coalesce_hit_rate"] = (
             aggregate["coalesced"] / submitted if submitted else 0.0)
         with self._lock:
-            router = {
-                "routed": self._routed,
-                "failovers": self._failovers,
-                "replays": self._replays,
-                "shed": self._shed,
-                "done": self._done,
-                "failed": self._failed,
-                "cancelled": self._cancelled_count,
-                "inflight": sum(1 for job in self._jobs.values()
-                                if job.state == "routed"),
-                "max_inflight": self._max_inflight,
-            }
+            router = self.metrics.values("repro_fleet_router_")
+        store_roots = self._store_roots()
         return {
             "state": self._state(),
             "uptime_s": time.time() - self._started_at,
@@ -697,7 +699,7 @@ class FleetRouter:
             "ring": {"members": list(self._membership.ring.members),
                      "replicas": self._membership.ring.replicas},
             "store_shared": len(store_roots) <= 1,
-            "store_roots": sorted(store_roots),
+            "store_roots": store_roots,
             "workers": workers,
             "aggregate": aggregate,
         }
@@ -714,12 +716,26 @@ class FleetRouter:
             "workers_total": counters["workers_total"],
         }
 
+    def _inflight(self) -> int:
+        with self._lock:
+            return sum(1 for job in self._jobs.values()
+                       if job.state == "routed")
+
+    def _store_roots(self) -> List[str]:
+        """The distinct store roots the members' handshakes reported."""
+        return sorted({member.registration["store_root"]
+                       for member in self._membership.all()
+                       if member.registration is not None
+                       and member.registration.get("store_root")
+                       is not None})
+
     def metrics_text(self) -> str:
-        """Prometheus text over the fleet aggregation (``GET /metrics``):
-        typed walked leaves plus the registry families (per-role submit
-        counters, latency histograms)."""
-        return render_prometheus(self.stats(), prefix="repro_fleet",
-                                 registry=obs_metrics.registry())
+        """The instruments this router owns as Prometheus text (``GET
+        /metrics``): its own, the admission policy's and the
+        membership's.  Every worker serves its own ``/metrics``; the
+        per-worker blocks and cross-worker totals stay in :meth:`stats`."""
+        return render_prometheus(self.metrics, self._policy.metrics,
+                                 self._membership.metrics)
 
     def trace(self, trace_id: Optional[str] = None) -> Dict[str, Any]:
         """Recorded traces (``GET /trace``, ``GET /trace/<id>``); with

@@ -15,8 +15,13 @@ never pull in test/plot/config frameworks.  Three modules:
 
 :mod:`repro.obs.metrics`
     ``Counter`` / ``Gauge`` / ``Histogram`` (fixed log-spaced latency
-    buckets) behind a process-global registry, plus a strict parser for
-    the Prometheus text exposition format used by the ``--obs`` smoke.
+    buckets).  Each stateful layer — queue, scheduler, session, store,
+    router, admission policy, membership — declares its instruments
+    once in its own ``MetricsRegistry``; process-wide caches use the
+    global one.  A layer's ``stats()`` document and ``GET /metrics``
+    (``render_prometheus(*registries)``) are two views of the same
+    instruments, typed by their owner.  Plus a strict parser for the
+    Prometheus text exposition format used by the ``--obs`` smoke.
 
 :mod:`repro.obs.profile`
     An opt-in sampling profiler (``REPRO_OBS_PROFILE=1`` / ``--profile``)

@@ -1,13 +1,19 @@
-"""Typed metrics: Counter / Gauge / Histogram behind a global registry.
+"""Typed metrics: Counter / Gauge / Histogram, owner registries, rendering.
 
-The service/fleet ``/metrics`` endpoints render two sources: the
-``stats()`` document walk (now classified counter-vs-gauge by leaf name,
-see :mod:`repro.service.metrics`) and this registry, which holds the
-instruments the walkers cannot express — log-spaced latency histograms
-(queue wait, pipeline stage, chunk fold) and labelled counters (per-role
-submits).  Everything is process-global so one exposition shows the
-whole process, and thread-safe behind one registry lock plus per-metric
-locks.
+Every stateful layer owns one :class:`MetricsRegistry` and declares its
+instruments there once, at construction: the service queue and
+scheduler, the session, the artifact store, and the fleet router with
+its admission policy and membership.  The process-wide caches of the
+streaming engine and of the architecture-table enumeration (and the
+chunk-fold histogram) live in the global :func:`registry`.  Both views
+of a layer's numbers read those instruments: its ``stats()`` document
+(:meth:`MetricsRegistry.values` plus non-numeric fields) and ``GET
+/metrics`` (:func:`render_prometheus` over the owners' registries).  A
+family's exposition type is the type its owner declared: lifetime
+totals are :class:`Counter` instruments, levels and ratios are
+:class:`Gauge` instruments whose value comes from a read function, and
+latency distributions are :class:`Histogram` instruments with fixed
+log-spaced buckets.
 
 :func:`parse_exposition` is a strict validator for the Prometheus text
 format 0.0.4 (``# TYPE`` before samples, histogram ``le`` buckets
@@ -21,12 +27,16 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter", "DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram",
-    "MetricsRegistry", "parse_exposition", "registry",
+    "METRICS_CONTENT_TYPE", "MetricsRegistry", "parse_exposition",
+    "registry", "render_prometheus",
 ]
+
+#: Content type of the Prometheus text exposition format.
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Fixed log-spaced latency buckets (seconds): a 1-2.5-5 ladder from
 #: 500 microseconds to 50 s.  Fixed so buckets never depend on traffic
@@ -46,59 +56,65 @@ def _validate_name(name: str) -> str:
 
 
 class Counter:
-    """Monotonically increasing value (``# TYPE ... counter``)."""
+    """Monotonically increasing value (``# TYPE ... counter``).
+
+    Either incremented (:meth:`inc`) or, with ``read``, a lifetime total
+    the owner already keeps elsewhere (e.g. synthesizer runs of live
+    explorers plus those folded in from evicted ones); the read function
+    must never go down.
+    """
 
     kind = "counter"
-    __slots__ = ("name", "_lock", "_value")
+    __slots__ = ("name", "_lock", "_value", "_read")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str,
+                 read: Optional[Callable[[], float]] = None) -> None:
         self.name = _validate_name(name)
         self._lock = threading.Lock()
-        self._value = 0.0
+        self._value = 0
+        self._read = read
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease "
                              f"(inc {amount})")
         with self._lock:
             self._value += amount
 
+    def reset(self) -> None:
+        """Zero the count, as a process restart would (cache-reset
+        helpers such as ``reset_stream_stats``)."""
+        with self._lock:
+            self._value = 0
+
     @property
     def value(self) -> float:
-        return self._value
+        return self._value if self._read is None else self._read()
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"type": self.kind, "value": self._value}
+        return {"type": self.kind, "value": self.value}
 
 
 class Gauge:
-    """Freely settable value (``# TYPE ... gauge``)."""
+    """A level read on demand (``# TYPE ... gauge``).
+
+    ``read`` returns the current value; ``None`` or a non-finite float
+    means "no sample" and the family is left out of the exposition.
+    """
 
     kind = "gauge"
-    __slots__ = ("name", "_lock", "_value")
+    __slots__ = ("name", "_read")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, read: Callable[[], Any]) -> None:
         self.name = _validate_name(name)
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
+        self._read = read
 
     @property
-    def value(self) -> float:
-        return self._value
+    def value(self) -> Any:
+        return self._read()
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"type": self.kind, "value": self._value}
+        return {"type": self.kind, "value": self.value}
 
 
 class Histogram:
@@ -159,7 +175,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name-keyed get-or-create store of typed instruments."""
+    """Name-keyed get-or-create store of one owner's typed instruments."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -175,11 +191,13 @@ class MetricsRegistry:
                                 f"{metric.kind}, not {kind}")
             return metric
 
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name), "counter")
+    def counter(self, name: str,
+                read: Optional[Callable[[], float]] = None) -> Counter:
+        return self._get_or_create(name, lambda: Counter(name, read),
+                                   "counter")
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name), "gauge")
+    def gauge(self, name: str, read: Callable[[], Any]) -> Gauge:
+        return self._get_or_create(name, lambda: Gauge(name, read), "gauge")
 
     def histogram(self, name: str,
                   buckets: Optional[Tuple[float, ...]] = None) -> Histogram:
@@ -188,25 +206,85 @@ class MetricsRegistry:
             lambda: Histogram(name, buckets or DEFAULT_LATENCY_BUCKETS),
             "histogram")
 
+    def instruments(self) -> List[Any]:
+        """Every instrument, sorted by name."""
+        with self._lock:
+            return [metric for _name, metric in sorted(self._metrics.items())]
+
+    def values(self, prefix: str) -> Dict[str, Any]:
+        """``{name minus prefix: value}`` of the counters and gauges whose
+        name starts with ``prefix`` — the numeric half of a ``stats()``
+        document."""
+        return {metric.name[len(prefix):]: metric.value
+                for metric in self.instruments()
+                if metric.kind != "histogram"
+                and metric.name.startswith(prefix)}
+
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Name-sorted JSON-ready view of every instrument."""
-        with self._lock:
-            metrics = list(self._metrics.items())
-        return {name: metric.snapshot()
-                for name, metric in sorted(metrics)}
-
-    def reset(self) -> None:
-        """Drop every instrument (tests only)."""
-        with self._lock:
-            self._metrics.clear()
+        return {metric.name: metric.snapshot()
+                for metric in self.instruments()}
 
 
 _REGISTRY = MetricsRegistry()
 
 
 def registry() -> MetricsRegistry:
-    """The process-global registry every layer instruments into."""
+    """The process-global registry: the streaming engine's and the
+    architecture-table enumeration's process-wide caches and histograms."""
     return _REGISTRY
+
+
+# ---------------------------------------------------------------------- #
+# text exposition rendering (0.0.4 text format)
+
+
+def _format_le(bound: float) -> str:
+    """Render a bucket bound the way Prometheus clients expect."""
+    if math.isinf(bound):
+        return "+Inf"
+    text = repr(float(bound))
+    return text[:-2] if text.endswith(".0") else text
+
+
+def _render(metric: Any) -> Optional[str]:
+    """One family's exposition text, or ``None`` when it has no sample."""
+    name = metric.name
+    if metric.kind == "histogram":
+        snapshot = metric.snapshot()
+        lines = [f"# TYPE {name} histogram"]
+        for bound, count in snapshot["buckets"]:
+            lines.append(f'{name}_bucket{{le="{_format_le(bound)}"}} {count}')
+        lines.append(f'{name}_bucket{{le="+Inf"}} {snapshot["count"]}')
+        lines.append(f"{name}_sum {snapshot['sum']}")
+        lines.append(f"{name}_count {snapshot['count']}")
+        return "\n".join(lines)
+    value = metric.value
+    if value is None or (isinstance(value, float)
+                         and not math.isfinite(value)):
+        return None  # no sample: NaN/inf poison scrapes
+    if isinstance(value, bool):
+        value = int(value)
+    return f"# TYPE {name} {metric.kind}\n{name} {value}"
+
+
+def render_prometheus(*registries: MetricsRegistry) -> str:
+    """Render the instruments of ``registries`` as Prometheus text.
+
+    Each family is typed by its instrument; families are emitted in name
+    order, so two scrapes of identical values are byte-identical.  Raises
+    :class:`ValueError` if two registries declare the same family (one
+    family has one owner).
+    """
+    families: Dict[str, Any] = {}
+    for owner in registries:
+        for metric in owner.instruments():
+            if metric.name in families:
+                raise ValueError(f"metric family {metric.name!r} is "
+                                 f"declared by two registries")
+            families[metric.name] = metric
+    blocks = [_render(families[name]) for name in sorted(families)]
+    return "".join(block + "\n" for block in blocks if block is not None)
 
 
 # ---------------------------------------------------------------------- #

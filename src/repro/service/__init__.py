@@ -28,8 +28,13 @@ sessions:
 
 The server speaks two transports with one protocol: in-process method
 calls, and a minimal stdlib-only JSON endpoint over :mod:`http.server`
-(``submit`` / ``status`` / ``result`` / ``stats`` / ``healthz``), with
-:class:`ReproClient` wrapping both.  Job lifecycle is streamed through the
+(``submit`` / ``status`` / ``result`` / ``stats`` / ``healthz`` /
+``metrics``), with :class:`ReproClient` wrapping both.  ``stats`` and
+``metrics`` are two views of one source: the queue, scheduler, session
+and store each own a :class:`~repro.obs.metrics.MetricsRegistry` of
+typed instruments, which the JSON document reads and
+:func:`render_prometheus` (re-exported from :mod:`repro.obs.metrics`,
+with :data:`METRICS_CONTENT_TYPE`) renders as Prometheus text.  Job lifecycle is streamed through the
 existing progress-callback protocol (:class:`~repro.api.session
 .SessionEvent` with ``job-*`` kinds) alongside the session's stage events.
 
@@ -65,7 +70,7 @@ from repro.service.jobs import (
     parse_priority,
     priority_name,
 )
-from repro.service.metrics import METRICS_CONTENT_TYPE, render_prometheus
+from repro.obs.metrics import METRICS_CONTENT_TYPE, render_prometheus
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler
 from repro.service.server import DEFAULT_PORT, ReproServer

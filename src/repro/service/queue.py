@@ -80,7 +80,9 @@ class JobQueue:
             raise ValueError(
                 f"max_pending must be >= 1 or None (got {max_pending})")
         self._max_pending = max_pending
-        self._lock = threading.Lock()
+        # re-entrant: the gauges below read queue state under this lock,
+        # also from inside stats_snapshot()
+        self._lock = threading.RLock()
         self._has_work = threading.Condition(self._lock)
         #: Heap entries: (priority, sequence, job).  Entries whose job is
         #: no longer queued, or whose priority no longer matches the job's
@@ -96,14 +98,25 @@ class JobQueue:
         self._history_limit = history_limit
         self._sequence = itertools.count(1)
         self._closed = False
-        # lifetime counters (monotonic; read via stats_snapshot)
-        self._submitted = 0
-        self._coalesced = 0
-        self._cancelled = 0
-        self._timed_out = 0
-        self._completed = 0
-        self._failed = 0
-        self._shed = 0
+        #: This queue's instruments (``repro_queue_*`` and the queue-wait
+        #: histogram); counters move only under the queue lock.
+        self.metrics = obs_metrics.MetricsRegistry()
+        counter = self.metrics.counter
+        self._submitted = counter("repro_queue_submitted")
+        self._coalesced = counter("repro_queue_coalesced")
+        self._completed = counter("repro_queue_completed")
+        self._failed = counter("repro_queue_failed")
+        self._cancelled = counter("repro_queue_cancelled")
+        self._timed_out = counter("repro_queue_timed_out")
+        self._shed = counter("repro_queue_shed")
+        self.metrics.gauge("repro_queue_coalesce_hit_rate",
+                           self._coalesce_hit_rate)
+        self.metrics.gauge("repro_queue_max_pending",
+                           lambda: self._max_pending)
+        self.metrics.gauge("repro_queue_pending", self.pending_count)
+        self.metrics.gauge("repro_queue_running", self.running_count)
+        self._wait_seconds = self.metrics.histogram(
+            "repro_service_queue_wait_seconds")
 
     # ------------------------------------------------------------------ #
     # submission / coalescing
@@ -136,10 +149,9 @@ class JobQueue:
                     "the service is draining and accepts no new jobs")
             job = self._inflight.get((kind, workload))
             if job is None and self._max_pending is not None:
-                pending = sum(1 for queued in self._inflight.values()
-                              if queued.state == "queued")
+                pending = self.pending_count()
                 if pending >= self._max_pending:
-                    self._shed += 1
+                    self._shed.inc()
                     retry_after = min(
                         SHED_RETRY_AFTER_CAP_S,
                         SHED_RETRY_AFTER_BASE_S
@@ -148,11 +160,11 @@ class JobQueue:
                         f"queue full ({pending} jobs pending, bound "
                         f"{self._max_pending}); retry in ~{retry_after:.1f}s",
                         retry_after_s=retry_after)
-            self._submitted += 1
+            self._submitted.inc()
             if job is not None:
                 job.requesters += 1
                 job.coalesced += 1
-                self._coalesced += 1
+                self._coalesced.inc()
                 if job.deadline is not None:
                     # most-patient-requester rule: an unbounded requester
                     # clears the deadline, a later one only extends it
@@ -217,7 +229,7 @@ class JobQueue:
             if job.requesters > 0 or job.state != "queued":
                 return True
             self._make_terminal(job, "cancelled")
-            self._cancelled += 1
+            self._cancelled.inc()
             return False
 
     # ------------------------------------------------------------------ #
@@ -302,8 +314,7 @@ class JobQueue:
             job.state = "running"
             job.started_at = time.time()
             waited = job.started_at - job.submitted_at
-            obs_metrics.registry().histogram(
-                "repro_service_queue_wait_seconds").observe(waited)
+            self._wait_seconds.observe(waited)
             if job.span is not None:
                 job.span.set_attribute("queue_wait_s", waited)
             return job
@@ -318,7 +329,7 @@ class JobQueue:
                 job.error = JobTimeoutError(
                     f"job {job.id} spent more than {job.timeout_s}s queued")
                 self._make_terminal(job, "timeout")
-                self._timed_out += 1
+                self._timed_out.inc()
 
     def _bounded_wait(self, timeout: Optional[float]) -> Optional[float]:
         """Cap an idle wait at the nearest queued deadline."""
@@ -341,14 +352,14 @@ class JobQueue:
         with self._has_work:
             job.result = result
             self._make_terminal(job, "done")
-            self._completed += 1
+            self._completed.inc()
 
     def fail(self, job: Job, error: BaseException) -> None:
         """Mark a running job failed (the error reaches every requester)."""
         with self._has_work:
             job.error = error
             self._make_terminal(job, "failed")
-            self._failed += 1
+            self._failed.inc()
 
     def _make_terminal(self, job: Job, state: str) -> None:
         job.state = state
@@ -388,7 +399,7 @@ class JobQueue:
                 for job in list(self._inflight.values()):
                     if job.state == "queued":
                         self._make_terminal(job, "cancelled")
-                        self._cancelled += 1
+                        self._cancelled.inc()
             self._has_work.notify_all()
 
     @property
@@ -407,30 +418,16 @@ class JobQueue:
             return sum(1 for job in self._inflight.values()
                        if job.state == "running")
 
+    def _coalesce_hit_rate(self) -> float:
+        submitted = self._submitted.value
+        return self._coalesced.value / submitted if submitted else 0.0
+
     def stats_snapshot(self) -> Dict[str, object]:
-        """Atomic JSON-ready view of the queue counters.
+        """Atomic JSON-ready view of the queue's instruments.
 
         ``coalesce_hit_rate`` is the fraction of submissions served by an
         already-in-flight computation — the service's headline dedup
         figure.
         """
         with self._lock:
-            submitted = self._submitted
-            pending = sum(1 for job in self._inflight.values()
-                          if job.state == "queued")
-            running = sum(1 for job in self._inflight.values()
-                          if job.state == "running")
-            return {
-                "submitted": submitted,
-                "coalesced": self._coalesced,
-                "coalesce_hit_rate": (self._coalesced / submitted
-                                      if submitted else 0.0),
-                "completed": self._completed,
-                "failed": self._failed,
-                "cancelled": self._cancelled,
-                "timed_out": self._timed_out,
-                "shed": self._shed,
-                "max_pending": self._max_pending,
-                "pending": pending,
-                "running": running,
-            }
+            return self.metrics.values("repro_queue_")

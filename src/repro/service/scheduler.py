@@ -30,6 +30,7 @@ from collections import deque
 
 from repro.api.executor import resolve_strategy, validate_max_workers
 from repro.api.session import Session
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.service.jobs import Job
 from repro.service.queue import JobQueue
@@ -62,12 +63,21 @@ class Scheduler:
         self._batch_window_s = batch_window_s
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
-        self._batches = 0
-        self._batched_dispatches = 0  # batches with more than one job
-        self._jobs_completed = 0
-        self._jobs_failed = 0
         self._batch_sizes: Deque[int] = deque(maxlen=BATCH_SIZE_HISTORY)
         self._largest_batch = 0
+        #: This scheduler's instruments (``repro_scheduler_*``).
+        self.metrics = obs_metrics.MetricsRegistry()
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        self._batches = counter("repro_scheduler_batches")
+        # batches with more than one job
+        self._batched_dispatches = counter(
+            "repro_scheduler_batched_dispatches")
+        self._jobs_completed = counter("repro_scheduler_jobs_completed")
+        self._jobs_failed = counter("repro_scheduler_jobs_failed")
+        gauge("repro_scheduler_largest_batch", lambda: self._largest_batch)
+        gauge("repro_scheduler_max_batch", lambda: self._max_batch)
+        gauge("repro_scheduler_batch_window_s", lambda: self._batch_window_s)
+        gauge("repro_scheduler_mean_batch_size", self._mean_batch_size)
 
     @property
     def executor_name(self) -> str:
@@ -124,11 +134,11 @@ class Scheduler:
     def _dispatch(self, jobs: List[Job]) -> None:
         started = time.perf_counter()
         with self._lock:
-            self._batches += 1
+            self._batches.inc()
             self._batch_sizes.append(len(jobs))
             self._largest_batch = max(self._largest_batch, len(jobs))
             if len(jobs) > 1:
-                self._batched_dispatches += 1
+                self._batched_dispatches.inc()
         for job in jobs:
             with obs_trace.adopt(job.trace_context):
                 self._emit_job_event("job-started", job)
@@ -170,7 +180,7 @@ class Scheduler:
                         elapsed_s=time.perf_counter() - started,
                         detail=str(error))
                 with self._lock:
-                    self._jobs_failed += 1
+                    self._jobs_failed.inc()
             else:
                 self._replay_individually(jobs)
             return
@@ -182,7 +192,7 @@ class Scheduler:
                 self._emit_job_event("job-finished", job,
                                      elapsed_s=elapsed / len(jobs))
         with self._lock:
-            self._jobs_completed += len(jobs)
+            self._jobs_completed.inc(len(jobs))
 
     def _run_single(self, job: Job, runner) -> None:
         """Run one job through ``runner(workload)`` with full accounting."""
@@ -200,7 +210,7 @@ class Scheduler:
                     elapsed_s=time.perf_counter() - started,
                     detail=str(error))
             with self._lock:
-                self._jobs_failed += 1
+                self._jobs_failed.inc()
         else:
             context = job.trace_context
             self._queue.finish(job, result)
@@ -209,7 +219,7 @@ class Scheduler:
                     "job-finished", job,
                     elapsed_s=time.perf_counter() - started)
             with self._lock:
-                self._jobs_completed += 1
+                self._jobs_completed.inc()
 
     def _replay_individually(self, jobs: List[Job]) -> None:
         """Attribute a batch failure job by job (cache-hit replays)."""
@@ -228,20 +238,13 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # introspection
 
+    def _mean_batch_size(self) -> float:
+        sizes = list(self._batch_sizes)
+        return sum(sizes) / len(sizes) if sizes else 0.0
+
     def stats_snapshot(self) -> Dict[str, object]:
-        """Atomic JSON-ready view of the dispatch counters."""
+        """Atomic JSON-ready view of the dispatch instruments."""
         with self._lock:
-            sizes = list(self._batch_sizes)
-            return {
-                "executor": self.executor_name,
-                "max_batch": self._max_batch,
-                "batch_window_s": self._batch_window_s,
-                "batches": self._batches,
-                "batched_dispatches": self._batched_dispatches,
-                "largest_batch": self._largest_batch,
-                "mean_batch_size": (sum(sizes) / len(sizes)
-                                    if sizes else 0.0),
-                "recent_batch_sizes": sizes,
-                "jobs_completed": self._jobs_completed,
-                "jobs_failed": self._jobs_failed,
-            }
+            return {"executor": self.executor_name,
+                    "recent_batch_sizes": list(self._batch_sizes),
+                    **self.metrics.values("repro_scheduler_")}

@@ -54,6 +54,7 @@ from repro.api.workload import Workload
 from repro.dse.engine import shared_table_stats
 from repro.dse.stream import stream_stats
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import METRICS_CONTENT_TYPE, render_prometheus
 from repro.obs import trace as obs_trace
 from repro.service.jobs import (
     AdmissionDeniedError,
@@ -64,7 +65,6 @@ from repro.service.jobs import (
     ServiceClosedError,
     UnknownJobError,
 )
-from repro.service.metrics import METRICS_CONTENT_TYPE, render_prometheus
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler
 
@@ -119,6 +119,14 @@ class ReproServer:
                                     max_batch=max_batch,
                                     batch_window_s=batch_window_s)
         self._started_at = time.time()
+        #: The server's own instruments (uptime, fleet registration); the
+        #: queue, scheduler, session and store own theirs.
+        self.metrics = obs_metrics.MetricsRegistry()
+        self.metrics.gauge("repro_uptime_s",
+                           lambda: time.time() - self._started_at)
+        self.metrics.gauge("repro_fleet_registered_at",
+                           lambda: (self._fleet_registration or {}).get(
+                               "registered_at"))
         self._httpd: Optional[_ServiceHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._http_address: Optional[Tuple[str, int]] = None
@@ -334,14 +342,15 @@ class ReproServer:
         }
 
     def metrics_text(self) -> str:
-        """The counters as Prometheus text (``GET /metrics``).
-
-        Walked ``stats()`` leaves (typed counter/gauge by leaf name) plus
-        the typed registry families — queue-wait, stage-latency, and
-        chunk-fold histograms included.
-        """
-        return render_prometheus(self.stats(),
-                                 registry=obs_metrics.registry())
+        """Every layer's instruments as Prometheus text (``GET /metrics``):
+        this server's, the queue's, the scheduler's, the session's, the
+        store's, and the process-wide cache and chunk-fold families."""
+        store = self._session.store
+        owners = [self.metrics, self._queue.metrics,
+                  self._scheduler.metrics, self._session.metrics,
+                  *([] if store is None else [store.metrics]),
+                  obs_metrics.registry()]
+        return render_prometheus(*owners)
 
     def trace(self, trace_id: Optional[str] = None) -> Dict[str, Any]:
         """Recorded traces (``GET /trace``, ``GET /trace/<id>``).

@@ -87,7 +87,7 @@ class TestColdKeyRace:
 
 class TestCounterAtomicity:
     def test_session_store_counters_never_lose_updates(self):
-        """8 threads x 500 events per kind: the dedicated stats lock must
+        """8 threads x 500 events per kind: the session's counters must
         land every single increment."""
         session = Session()
         barrier = threading.Barrier(8)

@@ -12,6 +12,7 @@ from repro.architecture.enumeration import (
     single_depth_split,
     space_table,
 )
+from repro.dse.engine import shared_table_stats
 
 
 class TestSingleDepthSplit:
@@ -140,10 +141,10 @@ class TestConstantTimeSize:
 
 class TestBoundedTableCache:
     def setup_method(self):
-        _space_table_cached.cache_clear()
+        _space_table_cached.clear()
 
     def teardown_method(self):
-        _space_table_cached.cache_clear()
+        _space_table_cached.clear()
 
     def make_space(self, iterations):
         return ArchitectureSpace(kernel_name="blur",
@@ -156,20 +157,21 @@ class TestBoundedTableCache:
         first = space_table(space)
         second = space_table(space)
         assert first is second
-        info = _space_table_cached.cache_info()
-        assert info.hits == 1 and info.misses == 1 and info.currsize == 1
-        assert info.maxsize == TABLE_CACHE_CAPACITY
+        info = shared_table_stats()
+        assert info["hits"] == 1 and info["misses"] == 1
+        assert info["entries"] == 1
+        assert info["capacity"] == TABLE_CACHE_CAPACITY
 
     def test_capacity_is_enforced_with_lru_eviction(self):
         tables = [space_table(self.make_space(i))
                   for i in range(2, TABLE_CACHE_CAPACITY + 3)]
-        info = _space_table_cached.cache_info()
-        assert info.currsize == TABLE_CACHE_CAPACITY
-        assert _space_table_cached.evictions == len(tables) - TABLE_CACHE_CAPACITY
+        info = shared_table_stats()
+        assert info["entries"] == TABLE_CACHE_CAPACITY
+        assert info["evictions"] == len(tables) - TABLE_CACHE_CAPACITY
         # the oldest entry was evicted: re-requesting it is a miss...
-        misses_before = info.misses
+        misses_before = info["misses"]
         rebuilt = space_table(self.make_space(2))
-        assert _space_table_cached.cache_info().misses == misses_before + 1
+        assert shared_table_stats()["misses"] == misses_before + 1
         assert rebuilt is not tables[0]
         # ...while the newest is still a hit
         assert space_table(self.make_space(TABLE_CACHE_CAPACITY + 2)) is tables[-1]
@@ -184,7 +186,7 @@ class TestBoundedTableCache:
 
     def test_clear_resets_counters(self):
         space_table(self.make_space(6))
-        _space_table_cached.cache_clear()
-        info = _space_table_cached.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        assert _space_table_cached.evictions == 0
+        _space_table_cached.clear()
+        info = shared_table_stats()
+        assert (info["hits"], info["misses"], info["entries"]) == (0, 0, 0)
+        assert info["evictions"] == 0

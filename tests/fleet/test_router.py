@@ -14,11 +14,14 @@ import pytest
 from repro.api import Session, Workload
 from repro.api.registry import create_backend, list_backends
 from repro.fleet import AdmissionPolicy, FleetRouter, routing_token
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import parse_exposition
 from repro.service import (
     AdmissionDeniedError,
     FleetOverloadedError,
     QueueFullError,
     ReproClient,
+    ServiceError,
 )
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
@@ -321,8 +324,10 @@ class TestHttpFleet:
         # routed jobs are a lifetime total: typed counter, not gauge
         assert "# TYPE repro_fleet_router_routed counter" in text
         assert "repro_fleet_membership_workers_alive 2" in text
-        # per-worker queue gauges flatten into the same exposition
-        assert "repro_fleet_workers_worker_0_stats_queue_submitted" in text
+        # the router serves only what it owns: each worker's families are
+        # on that worker's /metrics, per-worker blocks stay in /stats
+        assert "repro_fleet_workers_worker_0_stats_queue_submitted" \
+            not in text
 
     def test_worker_metrics_endpoint(self, http_fleet):
         fleet, _url, _reference = http_fleet
@@ -330,6 +335,79 @@ class TestHttpFleet:
         text = worker.client.metrics()
         assert "# TYPE repro_queue_submitted counter" in text
         assert "repro_uptime_s" in text
+
+
+def counter_samples(text):
+    """``{sample name: value}`` of every counter family (strict parse)."""
+    return {name: value
+            for entry in parse_exposition(text).values()
+            if entry["type"] == "counter"
+            for name, _labels, value in entry["samples"]}
+
+
+def raise_unreachable(*_args, **_kwargs):
+    raise ServiceError("worker unreachable")
+
+
+class TestRouterMetrics:
+    def test_counters_never_decrease_when_a_worker_stops_answering(
+            self, reference_digests, monkeypatch):
+        store, _reference = reference_digests
+        with FleetRouter.local(2, store=store,
+                               healthcheck_interval_s=0) as fleet:
+            client = ReproClient(fleet)
+            for handle in [client.submit(workload(name)) for name in NAMES]:
+                handle.result(timeout=120)
+            before = counter_samples(fleet.metrics_text())
+            member = fleet.membership.get("worker-0")
+            monkeypatch.setattr(member.client, "stats", raise_unreachable)
+            after = counter_samples(fleet.metrics_text())
+            assert before, "the router exposes no counter families"
+            decreased = {name: (value, after.get(name))
+                         for name, value in before.items()
+                         if after.get(name, -1) < value}
+            assert not decreased, f"counters went backwards: {decreased}"
+
+    def test_denied_made_up_roles_create_no_families(self, tmp_path):
+        with FleetRouter.local(1, store=tmp_path, healthcheck_interval_s=0,
+                               start=False) as fleet:
+            families = set(parse_exposition(fleet.metrics_text()))
+            global_families = set(obs_metrics.registry().snapshot())
+            for index in range(50):
+                with pytest.raises(AdmissionDeniedError):
+                    fleet.submit(workload(), role=f"made-up-{index}")
+            assert set(parse_exposition(fleet.metrics_text())) == families
+            assert set(obs_metrics.registry().snapshot()) \
+                == global_families
+            assert fleet.stats()["admission"]["denied"] == 50
+            # the declared per-role counters count admitted submissions
+            fleet.submit(workload(), role="user")
+            samples = counter_samples(fleet.metrics_text())
+            assert samples["repro_fleet_submits_role_user"] == 1
+            assert samples["repro_fleet_submits_role_operator"] == 0
+            fleet.close(drain=False)
+
+    def test_swallowed_worker_errors_are_counted(
+            self, reference_digests, monkeypatch):
+        store, _reference = reference_digests
+        with FleetRouter.local(2, store=store,
+                               healthcheck_interval_s=0) as fleet:
+            receipt = fleet.submit(workload())
+            fleet.result(receipt["job_id"], timeout=120)
+            member = fleet.membership.get(receipt["worker"])
+            for verb in ("stats", "status", "cancel", "healthz"):
+                monkeypatch.setattr(member.client, verb, raise_unreachable)
+            fleet.stats()
+            assert "worker_status" not in fleet.status(receipt["job_id"])
+            assert "worker_status" not in fleet.cancel(receipt["job_id"])
+            assert fleet.check_workers()["newly_dead"] == [member.name]
+            families = parse_exposition(fleet.metrics_text())
+            for site in ("worker_stats", "status", "cancel", "probe"):
+                entry = families[f"repro_fleet_errors_{site}"]
+                assert entry["type"] == "counter"
+                assert entry["samples"][0][2] == 1, site
+            assert families["repro_fleet_errors_handshake"]["samples"][0][2] \
+                == 0
 
 
 class TestRegistration:

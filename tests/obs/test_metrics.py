@@ -1,6 +1,5 @@
-"""Unit tests for repro.obs.metrics (typed instruments, the registry,
-and the strict exposition parser) plus the typed rendering contract of
-repro.service.metrics.render_prometheus."""
+"""Unit tests for repro.obs.metrics: typed instruments, owner
+registries, the registry renderer, and the strict exposition parser."""
 
 import math
 
@@ -13,8 +12,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     parse_exposition,
+    render_prometheus,
 )
-from repro.service.metrics import COUNTER_LEAVES, render_prometheus
 
 
 class TestInstruments:
@@ -27,13 +26,25 @@ class TestInstruments:
             counter.inc(-1)
         assert counter.snapshot() == {"type": "counter", "value": 3.5}
 
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("repro_test_level")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 13.0
-        assert gauge.snapshot() == {"type": "gauge", "value": 13.0}
+    def test_gauge_reads_its_function(self):
+        level = [10]
+        gauge = Gauge("repro_test_level", lambda: level[0])
+        assert gauge.value == 10
+        level[0] = 3
+        assert gauge.snapshot() == {"type": "gauge", "value": 3}
+
+    def test_counter_with_read_function_reports_it(self):
+        total = [4]
+        counter = Counter("repro_test_runs", read=lambda: total[0])
+        total[0] = 9
+        assert counter.value == 9
+        assert counter.snapshot() == {"type": "counter", "value": 9}
+
+    def test_counter_reset_zeroes_the_count(self):
+        counter = Counter("repro_test_total")
+        counter.inc(3)
+        counter.reset()
+        assert counter.value == 0
 
     def test_histogram_snapshot_is_cumulative(self):
         histogram = Histogram("repro_test_seconds", buckets=(0.1, 1.0, 10.0))
@@ -81,35 +92,61 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("repro_a")
         with pytest.raises(TypeError, match="already registered"):
-            registry.gauge("repro_a")
+            registry.gauge("repro_a", lambda: 0)
         with pytest.raises(TypeError, match="already registered"):
             registry.histogram("repro_a")
 
     def test_snapshot_is_name_sorted(self):
         registry = MetricsRegistry()
-        registry.gauge("repro_z")
+        registry.gauge("repro_z", lambda: 1)
         registry.counter("repro_a")
         assert list(registry.snapshot()) == ["repro_a", "repro_z"]
 
+    def test_values_strip_the_prefix_and_skip_histograms(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_queue_submitted").inc(2)
+        registry.gauge("repro_queue_pending", lambda: 1)
+        registry.histogram("repro_queue_wait_seconds").observe(0.1)
+        registry.counter("repro_other_total")
+        assert registry.values("repro_queue_") \
+            == {"pending": 1, "submitted": 2}
+
 
 class TestRenderPrometheus:
-    def test_monotone_leaves_render_as_counters_not_gauges(self):
-        # regression: pre-obs every leaf rendered as gauge, which breaks
-        # rate()/increase() over restarts for lifetime totals
-        stats = {"queue": {"submitted": 4, "pending": 1},
-                 "session": {"synthesis_runs": 9, "max_depth": 3}}
-        text = render_prometheus(stats)
-        assert "# TYPE repro_queue_submitted counter" in text
-        assert "# TYPE repro_queue_pending gauge" in text
-        assert "# TYPE repro_session_synthesis_runs counter" in text
-        assert "# TYPE repro_session_max_depth gauge" in text
+    def test_each_family_is_typed_by_its_instrument(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_queue_submitted").inc(4)
+        registry.gauge("repro_queue_pending", lambda: 1)
+        text = render_prometheus(registry)
+        assert "# TYPE repro_queue_submitted counter\n" \
+            "repro_queue_submitted 4\n" in text
+        assert "# TYPE repro_queue_pending gauge\n" \
+            "repro_queue_pending 1\n" in text
         parse_exposition(text)  # and the result is valid 0.0.4
 
-    def test_every_counter_leaf_actually_types_as_counter(self):
-        stats = {key: 1 for key in COUNTER_LEAVES}
-        families = parse_exposition(render_prometheus(stats))
-        assert all(entry["type"] == "counter"
-                   for entry in families.values())
+    def test_non_finite_and_missing_gauge_samples_are_skipped(self):
+        registry = MetricsRegistry()
+        registry.gauge("repro_bad", lambda: float("nan"))
+        registry.gauge("repro_worse", lambda: float("inf"))
+        registry.gauge("repro_unset", lambda: None)
+        registry.gauge("repro_ok", lambda: 2)
+        assert render_prometheus(registry) \
+            == "# TYPE repro_ok gauge\nrepro_ok 2\n"
+
+    def test_boolean_gauges_render_as_integers(self):
+        registry = MetricsRegistry()
+        registry.gauge("repro_store_shared", lambda: True)
+        assert "repro_store_shared 1\n" in render_prometheus(registry)
+
+    def test_merges_registries_and_rejects_a_family_declared_twice(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        first.counter("repro_b")
+        second.counter("repro_a")
+        text = render_prometheus(first, second)
+        assert text.index("repro_a") < text.index("repro_b")
+        second.gauge("repro_b", lambda: 0)
+        with pytest.raises(ValueError, match="declared by two registries"):
+            render_prometheus(first, second)
 
     def test_registry_histograms_render_full_family(self):
         registry = MetricsRegistry()
@@ -119,8 +156,7 @@ class TestRenderPrometheus:
         histogram.observe(0.5)
         histogram.observe(7.0)
         registry.counter("repro_fleet_submits_role_guest").inc(2)
-        text = render_prometheus({"queue": {"pending": 0}},
-                                 registry=registry)
+        text = render_prometheus(registry)
         families = parse_exposition(text)
         assert families["repro_wait_seconds"]["type"] == "histogram"
         samples = {name: value for name, labels, value
@@ -136,9 +172,11 @@ class TestRenderPrometheus:
             == "counter"
 
     def test_deterministic_and_newline_terminated(self):
-        stats = {"b": 2, "a": {"c": 1}}
-        first = render_prometheus(stats)
-        assert first == render_prometheus(stats)
+        registry = MetricsRegistry()
+        registry.counter("repro_b").inc(2)
+        registry.gauge("repro_a_c", lambda: 1)
+        first = render_prometheus(registry)
+        assert first == render_prometheus(registry)
         assert first.endswith("\n")
 
 

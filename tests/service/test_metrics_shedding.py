@@ -1,19 +1,16 @@
-"""Satellite-surface tests: Prometheus rendering, the bounded queue's
+"""Satellite-surface tests: the /metrics endpoint, the bounded queue's
 shed path, and the client's deterministic shed-retry backoff."""
-
-import math
 
 import pytest
 
 from repro.api import Workload
 from repro.service import (
+    METRICS_CONTENT_TYPE,
     JobQueue,
     QueueFullError,
     ReproClient,
     ReproServer,
-    render_prometheus,
 )
-from repro.service.metrics import METRICS_CONTENT_TYPE
 from repro.service.queue import (
     SHED_RETRY_AFTER_BASE_S,
     SHED_RETRY_AFTER_CAP_S,
@@ -29,36 +26,6 @@ def workload(name="blur", **overrides):
 
 
 class TestRenderPrometheus:
-    def test_flattens_nested_mappings_with_sorted_keys(self):
-        text = render_prometheus({"queue": {"pending": 3, "running": 1},
-                                  "uptime_s": 1.5})
-        assert text.index("repro_queue_pending 3") \
-            < text.index("repro_queue_running 1") \
-            < text.index("repro_uptime_s 1.5")
-        assert "# TYPE repro_queue_pending gauge" in text
-        assert text.endswith("\n")
-
-    def test_skips_labels_and_non_finite_samples(self):
-        text = render_prometheus({
-            "state": "serving",           # string: a label, not a sample
-            "fleet": None,
-            "members": ["a", "b"],
-            "bad": float("nan"),
-            "worse": float("inf"),
-            "ok": 2,
-        })
-        assert text == "# TYPE repro_ok gauge\nrepro_ok 2\n"
-
-    def test_booleans_render_as_integers(self):
-        text = render_prometheus({"ok": True, "store_shared": False})
-        assert "repro_ok 1" in text and "repro_store_shared 0" in text
-
-    def test_names_are_sanitized(self):
-        text = render_prometheus({"workers": {"worker-0": {"jobs": 4}},
-                                  "0day": 1})
-        assert "repro_workers_worker_0_jobs 4" in text
-        assert "repro_0day 1" in text
-
     def test_content_type_is_the_prometheus_text_format(self):
         assert METRICS_CONTENT_TYPE.startswith("text/plain")
         assert "version=0.0.4" in METRICS_CONTENT_TYPE
