@@ -6,7 +6,9 @@
 #
 # Every mode first runs the engine import-hygiene guard: repro.dse.engine
 # and the explorer must import with nothing beyond NumPy + the stdlib, and
-# never with a test oracle (tests/oracles) in their import closure.
+# never with a test oracle (tests/oracles) in their import closure.  The
+# default and --fast modes also resolve every perfbench/layers.py hook
+# target and fail with the name of any that no longer exists in src/.
 #   scripts/check.sh --par      # process-parallel executor/store-stress
 #                               # tests only, plus marker-hygiene checks
 #   scripts/check.sh --service  # service smoke: boot `python -m repro
@@ -160,6 +162,33 @@ print(f"obs import guard ok ({len(sys.modules)} modules, "
 PYEOF
 }
 
+check_bench_hooks() {
+    # The traced benchmark run wraps each perfbench/layers.py TARGETS entry
+    # by name, and its install() raises on the first one that is gone.
+    # Resolve them all here so a rename or deletion in src/ names every
+    # missing hook before the benchmark ever runs.
+    python - <<'PYEOF'
+import importlib
+import sys
+
+sys.path[:0] = ["src", "perfbench"]
+from layers import TARGETS
+
+missing = []
+for name, module_name, path, _attributes in TARGETS:
+    owner = importlib.import_module(module_name)
+    *parents, leaf = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part, None)
+    if owner is None or leaf not in vars(owner):
+        missing.append(f"{name}: {module_name}.{path}")
+if missing:
+    raise SystemExit("error: perfbench hook targets missing from src/:\n  "
+                     + "\n  ".join(missing))
+print(f"bench hook guard ok ({len(TARGETS)} targets)")
+PYEOF
+}
+
 # The guards are cheap, so every mode runs them (CI's flagless invocation too).
 check_engine_imports
 check_simulation_imports
@@ -246,5 +275,6 @@ case "${1:-}" in
     ;;
 esac
 
+check_bench_hooks
 python -m compileall -q src
 run_pytest "${PYTEST_ARGS[@]}" "$@"

@@ -15,13 +15,7 @@ from repro.ir.operators import (
 )
 from repro.ir.dfg import DfgNode, NodeKind, DataflowGraph, build_dfg_from_cone
 from repro.ir.cse import eliminate_common_subexpressions, dead_code_elimination
-from repro.ir.scheduling import (
-    Schedule,
-    asap_schedule,
-    alap_schedule,
-    pipeline_schedule,
-    critical_path_ns,
-)
+from repro.ir.scheduling import Schedule, pipeline_schedule
 
 __all__ = [
     "DataFormat",
@@ -36,8 +30,5 @@ __all__ = [
     "eliminate_common_subexpressions",
     "dead_code_elimination",
     "Schedule",
-    "asap_schedule",
-    "alap_schedule",
     "pipeline_schedule",
-    "critical_path_ns",
 ]

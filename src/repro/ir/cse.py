@@ -1,11 +1,11 @@
 """Common-subexpression elimination and dead-code elimination on DFGs.
 
 DFGs lowered from the symbolic layer are already maximally shared (the
-expression builder hash-conses every node), so these passes are mostly
-useful for graphs built by other frontends — in particular the commercial-HLS
-baseline, which deliberately builds the *unshared* graph a generic tool would
-schedule — and as a safety net that the register counts used by Equation 1
-really are the post-reuse counts.
+expression builder hash-conses every node), so the flow itself never runs
+these passes.  They are the test reference for that claim: rewriting a
+lowered cone must eliminate nothing, which shows the register counts used by
+Equation 1 really are the post-reuse counts.  Both passes rebuild the graph
+in :meth:`~repro.ir.dfg.DataflowGraph.topological_order`.
 """
 
 from __future__ import annotations

@@ -52,7 +52,15 @@ class DfgNode:
 
 
 class DataflowGraph:
-    """A directed acyclic dataflow graph with stable integer node ids."""
+    """A directed acyclic dataflow graph with stable integer node ids.
+
+    Node ids grow in construction order and every operand must exist before
+    its user is added, so :meth:`nodes` (construction order) is already a
+    topological order: scheduling and evaluation walk it directly.
+    :meth:`topological_order` is a different topological order, Kahn's; it
+    is kept because the VHDL writer declares signals in it, and that order is
+    part of the generated text.
+    """
 
     def __init__(self, name: str = "dfg") -> None:
         self.name = name
@@ -155,7 +163,8 @@ class DataflowGraph:
     # traversal
 
     def topological_order(self) -> List[DfgNode]:
-        """Return nodes in dependency order (operands before users)."""
+        """Return nodes in Kahn's dependency order (operands before users);
+        the VHDL signal-declaration order."""
         # count *distinct* operand nodes: a node used twice by the same user
         # (e.g. ``x * x``) still only gates that user once.
         in_degree: Dict[int, int] = {nid: len(set(n.operands))
@@ -175,9 +184,14 @@ class DataflowGraph:
         return order
 
     def validate(self) -> None:
-        """Check structural invariants (acyclicity, operand existence, arity)."""
-        self.topological_order()
+        """Check structural invariants: every operand is an earlier node (so
+        :meth:`nodes` is topological and there is no cycle), and arity."""
         for node in self._nodes.values():
+            for operand in node.operands:
+                if not 0 <= operand < node.node_id:
+                    raise ValueError(
+                        f"node {node.name}: operand {operand} is not an "
+                        f"earlier node of the graph")
             if node.kind is NodeKind.OP:
                 assert node.op_kind is not None
                 if len(node.operands) != node.op_kind.arity:
@@ -196,7 +210,7 @@ class DataflowGraph:
         values: Dict[int, float] = {}
         from repro.symbolic.expression import _fold_constant
 
-        for node in self.topological_order():
+        for node in self.nodes():
             if node.kind is NodeKind.INPUT:
                 if node.name not in input_values:
                     raise KeyError(f"missing value for input {node.name!r}")

@@ -6,13 +6,18 @@ each cone" — that is the ASAP critical path computed here.  The pipeline
 schedule additionally chops the combinational path into stages that fit the
 target clock period, giving the core latency (in cycles) and the initiation
 interval of the cone.
+
+Both come out of one walk of the graph.  A :class:`DataflowGraph` lists its
+nodes in construction order, and construction only accepts operands that
+already exist, so that order is topological: every node is visited after all
+of its operands, and no sort is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.ir.dfg import DataflowGraph, DfgNode, NodeKind
 from repro.ir.operators import OperatorLibrary, default_library
@@ -53,64 +58,37 @@ def _node_delay(node: DfgNode, graph: DataflowGraph,
     return library.spec_for(node.op_kind, constant_operand=constant).delay_ns
 
 
-def asap_schedule(graph: DataflowGraph,
-                  library: Optional[OperatorLibrary] = None) -> Dict[int, float]:
-    """Earliest finish time (ns) of every node assuming unlimited resources."""
-    library = library or default_library()
-    finish: Dict[int, float] = {}
-    for node in graph.topological_order():
-        start = max((finish[i] for i in node.operands), default=0.0)
-        finish[node.node_id] = start + _node_delay(node, graph, library)
-    return finish
-
-
-def alap_schedule(graph: DataflowGraph,
-                  library: Optional[OperatorLibrary] = None) -> Dict[int, float]:
-    """Latest start time (ns) of every node for the ASAP-determined length."""
-    library = library or default_library()
-    finish = asap_schedule(graph, library)
-    total = max(finish.values(), default=0.0)
-    latest: Dict[int, float] = {}
-    for node in reversed(graph.topological_order()):
-        user_starts = [latest[u] for u in graph.users_of(node.node_id) if u in latest]
-        end = min(user_starts, default=total)
-        latest[node.node_id] = end - _node_delay(node, graph, library)
-    return latest
-
-
-def critical_path_ns(graph: DataflowGraph,
-                     library: Optional[OperatorLibrary] = None) -> float:
-    """Total combinational delay from any input to any output."""
-    finish = asap_schedule(graph, library)
-    return max(finish.values(), default=0.0)
-
-
 def pipeline_schedule(graph: DataflowGraph,
                       clock_period_ns: float,
                       library: Optional[OperatorLibrary] = None) -> Schedule:
     """Pipeline the datapath so every stage fits in ``clock_period_ns``.
 
-    Operations are assigned to stages greedily along the ASAP order: a node
-    goes to the earliest stage that is no earlier than any of its operands'
-    stages and whose accumulated combinational delay stays within the clock
-    period.  The number of pipeline registers is the number of DAG edges that
-    cross a stage boundary — these registers are part of the register count
-    that Equation 1 tracks.
+    One walk of the construction order assigns stages greedily: a node goes
+    to the earliest stage that is no earlier than any of its operands' stages
+    and whose accumulated combinational delay stays within the clock period.
+    The same walk tracks each node's ASAP finish time; the largest is the
+    critical path.  The number of pipeline registers is the number of DAG
+    edges that cross a stage boundary, counted once per boundary crossed —
+    these registers are part of the register count that Equation 1 tracks.
     """
     if clock_period_ns <= 0:
         raise ValueError("clock period must be positive")
     library = library or default_library()
 
+    finish: Dict[int, float] = {}          # ASAP finish time (ns)
     stage_of: Dict[int, int] = {}
     slack_in_stage: Dict[int, float] = {}
     pipeline_registers = 0
 
-    for node in graph.topological_order():
+    for node in graph.nodes():
+        node_id = node.node_id
         delay = _node_delay(node, graph, library)
         if not node.operands:
-            stage_of[node.node_id] = 0
-            slack_in_stage[node.node_id] = delay
+            finish[node_id] = delay
+            stage_of[node_id] = 0
+            slack_in_stage[node_id] = delay
             continue
+        finish[node_id] = max(finish[i] for i in node.operands) + delay
         operand_stage = max(stage_of[i] for i in node.operands)
         accumulated = max(
             (slack_in_stage[i] for i in node.operands
@@ -129,21 +107,16 @@ def pipeline_schedule(graph: DataflowGraph,
         else:
             stage = operand_stage + 1
             accumulated = delay
-        stage_of[node.node_id] = stage
-        slack_in_stage[node.node_id] = accumulated
-
-    for node in graph.nodes():
+        stage_of[node_id] = stage
+        slack_in_stage[node_id] = accumulated
         for operand in node.operands:
-            crossing = stage_of[node.node_id] - stage_of[operand]
-            if crossing > 0:
-                pipeline_registers += crossing
+            pipeline_registers += stage - stage_of[operand]
 
     stages = max(stage_of.values(), default=0) + 1
-    cp = critical_path_ns(graph, library)
     return Schedule(
         graph_name=graph.name,
         clock_period_ns=clock_period_ns,
-        critical_path_ns=cp,
+        critical_path_ns=max(finish.values(), default=0.0),
         pipeline_stages=stages,
         latency_cycles=stages,
         initiation_interval=1,

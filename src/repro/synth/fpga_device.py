@@ -11,6 +11,7 @@ the device.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -35,6 +36,23 @@ class FpgaDevice:
     #: Fraction of the device the tools can actually fill with the cone
     #: datapath (routing, I/O and control overhead are kept out of reach).
     usable_fraction: float = 0.85
+
+    def __post_init__(self) -> None:
+        # a device can arrive from a service client as a full model, so a
+        # bad one must fail here rather than deep inside the flow
+        for name in ("typical_clock_hz", "offchip_bandwidth_bytes_per_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"device {self.name!r}: {name} must be "
+                                 f"finite and > 0, got {value!r}")
+        for name in ("slice_luts", "slice_ffs", "dsp_slices", "bram_kbits"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"device {self.name!r}: {name} must be "
+                                 f"finite and >= 0, got {value!r}")
+        if not 0 < self.usable_fraction <= 1:
+            raise ValueError(f"device {self.name!r}: usable_fraction must be "
+                             f"in (0, 1], got {self.usable_fraction!r}")
 
     @property
     def capacity(self) -> ResourceVector:

@@ -36,17 +36,8 @@ class SynthesisReport:
     #: Simulated tool runtime (seconds of CPU time a real synthesis of this
     #: design would take); used to quantify the exploration-cost saving.
     estimated_tool_runtime_s: float
-
-    @property
-    def slice_luts(self) -> float:
-        return self.area.luts
-
-    @property
-    def fits(self) -> bool:
-        return self._fits
-
-    # populated post-init via object.__setattr__ in Synthesizer
-    _fits: bool = True
+    #: Whether the optimised area fits the device's usable capacity.
+    fits: bool
 
 
 class Synthesizer:
@@ -73,13 +64,13 @@ class Synthesizer:
         mapped = self.mapper.map(graph,
                                  pipeline_register_count=schedule.pipeline_register_count)
         area = self.reuse_model.optimize(mapped)
-        timing = self.timing_model.analyze(graph)
+        timing = self.timing_model.analyze(schedule)
         runtime = self._tool_runtime(mapped)
 
         self.runs += 1
         self.total_tool_runtime_s += runtime
 
-        report = SynthesisReport(
+        return SynthesisReport(
             design_name=graph.name,
             device_name=self.device.name,
             area=area,
@@ -88,10 +79,8 @@ class Synthesizer:
             operation_count=mapped.operation_count,
             timing=timing,
             estimated_tool_runtime_s=runtime,
+            fits=area.fits_in(self.device.usable_capacity),
         )
-        object.__setattr__(report, "_fits",
-                           area.fits_in(self.device.usable_capacity))
-        return report
 
     # ------------------------------------------------------------------ #
 

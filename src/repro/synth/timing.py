@@ -1,4 +1,9 @@
-"""Timing analysis of synthesised cones."""
+"""Timing analysis of synthesised cones.
+
+A synthesis run schedules the cone once (:meth:`TimingModel.schedule`) and
+derives its :class:`TimingReport` from that :class:`Schedule`
+(:meth:`TimingModel.analyze`), so the graph is walked a single time.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from typing import Optional
 
 from repro.ir.dfg import DataflowGraph
 from repro.ir.operators import OperatorLibrary, default_library
-from repro.ir.scheduling import Schedule, critical_path_ns, pipeline_schedule
+from repro.ir.scheduling import Schedule, pipeline_schedule
 from repro.synth.fpga_device import FpgaDevice
 
 
@@ -41,23 +46,19 @@ class TimingModel:
     def target_period_ns(self) -> float:
         return 1e9 / self.device.typical_clock_hz
 
-    def analyze(self, graph: DataflowGraph) -> TimingReport:
-        period = self.target_period_ns
-        schedule = pipeline_schedule(graph, period, self.library)
+    def schedule(self, graph: DataflowGraph) -> Schedule:
+        return pipeline_schedule(graph, self.target_period_ns, self.library)
+
+    def analyze(self, schedule: Schedule) -> TimingReport:
+        """Clocking and latency of a cone scheduled by :meth:`schedule`."""
         frequency = min(self.device.typical_clock_hz, schedule.max_frequency_hz)
         latency_s = schedule.latency_cycles / frequency if frequency > 0 else float("inf")
         return TimingReport(
             critical_path_ns=schedule.critical_path_ns,
-            clock_period_ns=period,
+            clock_period_ns=schedule.clock_period_ns,
             achieved_frequency_hz=frequency,
             pipeline_stages=schedule.pipeline_stages,
             latency_cycles=schedule.latency_cycles,
             latency_seconds=latency_s,
             initiation_interval=schedule.initiation_interval,
         )
-
-    def schedule(self, graph: DataflowGraph) -> Schedule:
-        return pipeline_schedule(graph, self.target_period_ns, self.library)
-
-    def combinational_delay(self, graph: DataflowGraph) -> float:
-        return critical_path_ns(graph, self.library)

@@ -73,6 +73,26 @@ class TestTraversal:
             graph.validate()
 
 
+    def test_validate_rejects_operand_built_after_its_user(self):
+        """Construction order is the scheduling order, so an operand that
+        points at a later node is rejected even when it makes no cycle."""
+        graph = DataflowGraph()
+        a = graph.add_input("a")
+        b = graph.add_input("b")
+        add = graph.add_op(OpKind.ADD, [a, b])
+        graph.add_output(add, "y")
+        late = graph.add_input("late")
+        graph.node(add).operands = (a, late)
+        with pytest.raises(ValueError, match="not an earlier node"):
+            graph.validate()
+
+    def test_validate_rejects_missing_operand(self):
+        graph = make_simple_graph()
+        graph.node(graph.output_ids[0]).operands = (99,)
+        with pytest.raises(ValueError, match="not an earlier node"):
+            graph.validate()
+
+
 class TestEvaluation:
     def test_evaluate_simple_graph(self):
         graph = make_simple_graph()

@@ -1,15 +1,10 @@
-"""Unit tests for ASAP/ALAP and pipeline scheduling."""
+"""Unit tests for pipeline scheduling and its critical path."""
 
 import pytest
 
 from repro.ir.dfg import DataflowGraph, build_dfg_from_cone
 from repro.ir.operators import DataFormat, default_library
-from repro.ir.scheduling import (
-    alap_schedule,
-    asap_schedule,
-    critical_path_ns,
-    pipeline_schedule,
-)
+from repro.ir.scheduling import pipeline_schedule
 from repro.symbolic.cone_expression import ConeExpressionBuilder
 from repro.symbolic.expression import OpKind
 
@@ -27,20 +22,17 @@ def chain_graph(length=4):
 
 def test_critical_path_scales_with_chain_length():
     library = default_library(DataFormat.FIXED16)
-    short = critical_path_ns(chain_graph(2), library)
-    long = critical_path_ns(chain_graph(8), library)
+    short = pipeline_schedule(chain_graph(2), 4.0, library).critical_path_ns
+    long = pipeline_schedule(chain_graph(8), 4.0, library).critical_path_ns
     assert long == pytest.approx(4 * short)
 
 
-def test_asap_before_alap():
-    graph = chain_graph(5)
-    library = default_library()
-    asap = asap_schedule(graph, library)
-    alap = alap_schedule(graph, library)
-    for node in graph.nodes():
-        finish = asap[node.node_id]
-        latest_start = alap[node.node_id]
-        assert latest_start >= finish - critical_path_ns(graph, library) - 1e-9
+def test_critical_path_does_not_depend_on_clock_period():
+    graph = chain_graph(6)
+    library = default_library(DataFormat.FIXED16)
+    paths = {pipeline_schedule(graph, period, library).critical_path_ns
+             for period in (0.5, 4.0, 1000.0)}
+    assert len(paths) == 1
 
 
 def test_pipeline_schedule_meets_clock_period():

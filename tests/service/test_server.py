@@ -97,6 +97,40 @@ class TestHttpTransport:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("field,value", [
+        ("typical_clock_hz", 0.0),
+        ("typical_clock_hz", -97e6),
+        ("offchip_bandwidth_bytes_per_s", 0.0),
+        ("slice_luts", -1),
+        ("slice_ffs", -1),
+        ("dsp_slices", -1),
+        ("bram_kbits", -1),
+        ("usable_fraction", -0.5),
+        ("usable_fraction", 1.5),
+    ])
+    def test_malformed_device_rejected_at_submit(self, field, value):
+        payload = workload().to_dict()
+        payload["device"][field] = value
+        server = ReproServer(start=False)
+        try:
+            with pytest.raises(ValueError, match=field):
+                server.submit(payload)
+            assert server.queue.stats_snapshot()["submitted"] == 0
+        finally:
+            server.close(drain=False)
+
+    def test_malformed_device_is_a_400(self, http_server):
+        _server, url = http_server
+        payload = workload().to_dict()
+        payload["device"]["typical_clock_hz"] = 0.0
+        request = urllib.request.Request(
+            url + "/submit", data=json.dumps({"workload": payload}).encode(),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert "typical_clock_hz" in json.loads(excinfo.value.read())["error"]
+
     def test_bad_url_scheme_rejected(self):
         with pytest.raises(ValueError):
             ReproClient("ftp://example.org")

@@ -1,10 +1,13 @@
 """Unit tests for the FPGA device models."""
 
+import dataclasses
+
 import pytest
 
 from repro.ir.operators import ResourceVector
 from repro.synth.fpga_device import (
     DEVICE_CATALOG,
+    FpgaDevice,
     VIRTEX2P_XC2VP30,
     VIRTEX6_XC6VLX760,
     device_by_name,
@@ -54,3 +57,42 @@ def test_onchip_memory_too_small_for_a_1024x768_frame():
     frame_bytes = 1024 * 768 * 4
     assert VIRTEX6_XC6VLX760.onchip_memory_bytes < 2 * frame_bytes
     assert VIRTEX2P_XC2VP30.onchip_memory_bytes < frame_bytes
+
+
+#: One malformed value per checked field (service clients send full models).
+MALFORMED_FIELDS = [
+    ("typical_clock_hz", 0.0),
+    ("typical_clock_hz", -97e6),
+    ("typical_clock_hz", float("inf")),
+    ("offchip_bandwidth_bytes_per_s", 0.0),
+    ("offchip_bandwidth_bytes_per_s", float("nan")),
+    ("slice_luts", -1),
+    ("slice_ffs", -1),
+    ("dsp_slices", -1),
+    ("bram_kbits", -1),
+    ("slice_luts", float("inf")),
+    ("usable_fraction", -0.5),
+    ("usable_fraction", 0.0),
+    ("usable_fraction", 1.5),
+    ("usable_fraction", float("nan")),
+]
+
+
+@pytest.mark.parametrize("field,value", MALFORMED_FIELDS)
+def test_malformed_device_rejected_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(VIRTEX6_XC6VLX760, **{field: value})
+    data = {**VIRTEX6_XC6VLX760.to_dict(), field: value}
+    with pytest.raises(ValueError, match=field):
+        FpgaDevice.from_dict(data)
+
+
+@pytest.mark.parametrize("changes", [
+    {"usable_fraction": 1.0},
+    {"usable_fraction": 0.70},
+    {"usable_fraction": 0.90},
+    {"dsp_slices": 0, "bram_kbits": 0},
+])
+def test_boundary_devices_still_construct(changes):
+    device = dataclasses.replace(VIRTEX6_XC6VLX760, **changes)
+    assert FpgaDevice.from_dict(device.to_dict()) == device

@@ -5,7 +5,7 @@ import pytest
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat, default_library
 from repro.symbolic.cone_expression import ConeExpressionBuilder
-from repro.synth.fpga_device import VIRTEX6_XC6VLX760, VIRTEX2P_XC2VP30
+from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760, VIRTEX2P_XC2VP30
 from repro.synth.logic_reuse import LogicReuseModel, _deterministic_ripple
 from repro.synth.synthesizer import Synthesizer
 from repro.synth.technology_map import TechnologyMapper
@@ -79,6 +79,15 @@ class TestSynthesizer:
         assert report.estimated_tool_runtime_s > 0
         assert report.fits
 
+    def test_report_does_not_fit_a_device_too_small(self, igf_cone_graphs):
+        tiny = FpgaDevice(name="TINY", family="Test", slice_luts=100,
+                          slice_ffs=200, dsp_slices=1, bram_kbits=18,
+                          typical_clock_hz=1e8,
+                          offchip_bandwidth_bytes_per_s=1e9)
+        report = Synthesizer(tiny, default_library(DataFormat.FIXED16)
+                             ).synthesize(igf_cone_graphs[(3, 2)])
+        assert not report.fits
+
     def test_synthesis_is_deterministic(self, igf_cone_graphs):
         synthesizer = Synthesizer(VIRTEX6_XC6VLX760,
                                   default_library(DataFormat.FIXED16))
@@ -123,7 +132,7 @@ class TestSynthesizer:
 class TestTimingModel:
     def test_latency_seconds_consistent(self, igf_cone_graphs):
         model = TimingModel(VIRTEX6_XC6VLX760, default_library(DataFormat.FIXED16))
-        report = model.analyze(igf_cone_graphs[(2, 2)])
+        report = model.analyze(model.schedule(igf_cone_graphs[(2, 2)]))
         assert report.latency_seconds == pytest.approx(
             report.latency_cycles / report.achieved_frequency_hz)
         assert report.critical_path_ns > 0
