@@ -22,12 +22,7 @@ materializing the full candidate table:
 * a frames-per-second floor is pushed down too: throughput is monotone in
   the instance count, so a second binary search admits only the count
   suffix that can meet the floor — intersected with the area prefix, the
-  admitted band is pruned before any costing;
-* independent chunks fan out across executor-strategy workers
-  (``jobs=N`` / ``explore(stream=True, stream_jobs=4)`` /
-  ``--stream --jobs 4`` on the CLI); each worker folds a shard into
-  private state and the associative ``merge`` reduces them, bit-identical
-  to the serial fold at any worker count.
+  admitted band is pruned before any costing.
 
 Run with::
 
@@ -118,26 +113,17 @@ def main() -> None:
           f"across {len(streamed.pareto)} points")
     print()
 
-    # 6. throughput-side pushdown + parallel dispatch: an fps floor
-    #    admits only a suffix of each group's count axis (throughput is
-    #    monotone in the instance count), pruned before costing like the
-    #    area prefix; and the chunk schedule fans out across workers,
-    #    merged back bit-identically.
+    # 6. throughput-side pushdown: an fps floor admits only a suffix of
+    #    each group's count axis (throughput is monotone in the instance
+    #    count), pruned before costing like the area prefix.
     floored = DseConstraints(device_only=True, min_frames_per_second=30.0)
-    serial = explore_stream(space, characterizations,
-                            explorer.throughput_model, 1024, 768,
-                            floored, usable, chunk_rows=CHUNK_ROWS)
-    parallel = explore_stream(space, characterizations,
-                              explorer.throughput_model, 1024, 768,
-                              floored, usable, chunk_rows=CHUNK_ROWS,
-                              jobs=4, executor="threads")
-    identical = ([p.to_dict() for p in parallel.pareto]
-                 == [p.to_dict() for p in serial.pareto])
-    print(f"30 fps floor: {serial.throughput_pruned_rows:,} rows pruned "
+    fast = explore_stream(space, characterizations,
+                          explorer.throughput_model, 1024, 768,
+                          floored, usable, chunk_rows=CHUNK_ROWS)
+    print(f"30 fps floor: {fast.throughput_pruned_rows:,} rows pruned "
           f"throughput-side before costing "
-          f"({serial.pruned_fraction:.2%} pruned in total); "
-          f"jobs=4 fan-out digest-identical to the serial fold: "
-          f"{identical}")
+          f"({fast.pruned_fraction:.2%} pruned in total), "
+          f"{len(fast.pareto)} Pareto points")
 
 
 if __name__ == "__main__":

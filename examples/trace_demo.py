@@ -4,13 +4,13 @@
 grown: the submitting client opens a root span, the trace context rides
 the ``X-Repro-Trace`` HTTP header into the fleet router, hops to the
 owning worker, follows the job through the scheduler into the session
-pipeline, and fans out with the chunk-shard workers of a streamed
-exploration — every span carries the same ``trace_id`` and parents back
-to the caller's root.  This demo shows the full loop:
+pipeline, and down into the chunk fold of a streamed exploration — every
+span carries the same ``trace_id`` and parents back to the caller's
+root.  This demo shows the full loop:
 
 1. a client-side root span + one fleet submit of a *streamed* workload
-   → every server-side span (route, job, dispatch, stages, stream
-   shards) joins the caller's trace;
+   → every server-side span (route, job, dispatch, stages, the stream
+   fold) joins the caller's trace;
 2. fetching the assembled tree back via ``GET /trace/<id>`` and walking
    it as an indented span tree with wall times;
 3. exporting the same spans as JSONL (one span per line, grep-able) and
@@ -40,11 +40,11 @@ from repro.obs import trace
 from repro.service import ReproClient
 
 #: Small knobs so the demo finishes in seconds; ``stream=True`` routes the
-#: exploration through the out-of-core engine so the trace shows real
-#: chunk-shard worker spans.
+#: exploration through the out-of-core engine so the trace shows its
+#: ``stream.explore`` fold span.
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=4, frame_width=640, frame_height=480,
-             stream=True, chunk_rows=2, stream_jobs=2)
+             stream=True, chunk_rows=2)
 
 
 def print_tree(spans) -> None:
@@ -60,7 +60,7 @@ def print_tree(spans) -> None:
         detail = ", ".join(f"{key}={value}"
                            for key, value in sorted(attrs.items())
                            if key in ("workload", "kind", "state", "chunks",
-                                      "worker", "jobs"))
+                                      "worker"))
         print(f"    {'  ' * depth}{span['name']:<{24 - 2 * depth}} "
               f"{span['wall_s'] * 1e3:8.2f} ms"
               + (f"  ({detail})" if detail else ""))
@@ -91,9 +91,9 @@ def main() -> None:
         # -------------------------------------------------------------- #
         # 2. fetch the assembled tree back from the fleet and walk it.
         spans = fleet.trace(root.trace_id)["spans"]
-        shards = sum(1 for span in spans if span["name"] == "stream.shard")
+        folds = sum(1 for span in spans if span["name"] == "stream.explore")
         print(f"trace:      {len(spans)} span(s), one trace id, "
-              f"{shards} stream-shard worker span(s)")
+              f"{folds} stream fold span(s)")
         print_tree(spans)
 
         # -------------------------------------------------------------- #
@@ -108,10 +108,15 @@ def main() -> None:
                   f"(load at chrome://tracing)")
 
         # -------------------------------------------------------------- #
-        # 4. the same run left typed metrics behind: monotone totals are
-        #    counters, levels are gauges, latencies are bucket families.
+        # 4. the worker that served the job left typed metrics behind:
+        #    monotone totals are counters, levels are gauges, latencies
+        #    are bucket families.  The router's own /metrics carries only
+        #    routing instruments; each worker serves its own.
+        worker = next(span["attributes"]["worker"] for span in spans
+                      if span["name"] == "fleet.route")
         families = {}
-        for line in fleet.metrics_text().splitlines():
+        for line in fleet.membership.get(worker).client.metrics() \
+                .splitlines():
             if line.startswith("# TYPE "):
                 _, _, name, kind = line.split()
                 families.setdefault(kind, []).append(name)

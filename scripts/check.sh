@@ -24,10 +24,8 @@
 #                               # candidate space under a hard RSS ceiling
 #                               # and assert streamed results are digest-
 #                               # identical to explore_columnar on the
-#                               # paper-scale subspace, then repeat the
-#                               # large run with --jobs 2 chunk-shard
-#                               # workers (same ceiling, digest identity
-#                               # vs the serial fold)
+#                               # paper-scale subspace, across chunk sizes
+#                               # and a shuffled chunk order
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite, the frame/golden
 #                               # boundary-contract regressions and the
@@ -35,10 +33,14 @@
 #                               # wall-clock budget so the Hypothesis suite
 #                               # can't silently balloon
 #   scripts/check.sh --obs      # observability tier: the tracing/metrics/
-#                               # propagation suite, then a live-server
-#                               # smoke — client root span rides the
-#                               # X-Repro-Trace header across a real
-#                               # process boundary, the trace comes back
+#                               # propagation suite, then the tracing-
+#                               # overhead gate (traced run_many batches
+#                               # digest-identical to untraced ones, the
+#                               # tracer's own CPU time under 5% of the
+#                               # batch's; wall delta printed), then a
+#                               # live-server smoke — client root span
+#                               # rides the X-Repro-Trace header across a
+#                               # real process boundary, the trace comes back
 #                               # via GET /trace/<id> and the CLI, and
 #                               # /metrics strict-parses as 0.0.4 with
 #                               # correctly typed families, and every
@@ -217,11 +219,8 @@ case "${1:-}" in
 --large)
     shift
     python -m compileall -q src
-    # A fresh process so ru_maxrss measures the streaming run alone.  The
-    # parallel variant (--jobs 2) runs the serial fold and the two-worker
-    # fan-out in the same process under the same RSS ceiling and fails on
-    # any digest divergence between them.
-    python scripts/large_smoke.py --jobs 2 "$@"
+    # A fresh process so ru_maxrss measures the streaming run alone.
+    python scripts/large_smoke.py "$@"
     exit $?
     ;;
 --sim)
@@ -248,10 +247,11 @@ case "${1:-}" in
     python -m compileall -q src
     # The full observability suite first (span trees, header codec,
     # capture/absorb handoff, typed exposition, propagation edges), then
-    # the live smoke: a real `python -m repro serve` subprocess proves
-    # the X-Repro-Trace header joins traces across a process boundary
-    # and /metrics survives the strict 0.0.4 parser, with no counter
-    # family going down between a scrape before and one after its job.
+    # the smoke script: the tracing-overhead gate (bit-neutral, <5%),
+    # and a real `python -m repro serve` subprocess proving the
+    # X-Repro-Trace header joins traces across a process boundary and
+    # /metrics survives the strict 0.0.4 parser, with no counter family
+    # going down between a scrape before and one after its job.
     run_pytest -x -q tests/obs "$@"
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         python scripts/obs_smoke.py

@@ -16,12 +16,9 @@ Two checks in one fresh process:
    The columnar oracle is deliberately *not* run on the large space in
    this process, so the ceiling bounds the streaming path alone.
 
-``--jobs N`` additionally streams the large space through N chunk-shard
-workers (``--executor``, default threads) and requires digest identity
-against the serial fold — under the same RSS ceiling.  ``--min-fps``
-engages the throughput-side suffix pushdown on the large run.  ``--json``
-emits the collected metrics (candidates/s, peak RSS, pruned fraction,
-parallel speedup, ...) on stdout for reuse by ``scripts/bench.py``.
+``--min-fps`` engages the throughput-side suffix pushdown on the large
+run.  ``--json`` emits the collected metrics (candidates/s, peak RSS,
+pruned fraction, ...) on stdout.
 """
 
 from __future__ import annotations
@@ -94,17 +91,6 @@ def check_digest_identity(explorer, space, characterizations, usable):
           f"on the {paper_space.size()}-candidate paper space")
 
 
-def run_large(explorer, space, characterizations, usable, chunk_rows,
-              constraints, jobs=None, executor=None):
-    started = time.perf_counter()
-    streamed = explore_stream(space, characterizations,
-                              explorer.throughput_model, 1024, 768,
-                              constraints, usable, chunk_rows=chunk_rows,
-                              jobs=jobs, executor=executor)
-    elapsed = time.perf_counter() - started
-    return streamed, elapsed
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-cones", type=int, default=2300,
@@ -115,17 +101,6 @@ def main(argv=None) -> int:
                         help="hard peak-RSS ceiling for the whole process")
     parser.add_argument("--min-rows", type=int, default=100_000,
                         help="fail if the large space is smaller than this")
-    parser.add_argument("--skip-digest", action="store_true",
-                        help="skip the paper-space identity check "
-                             "(bench reuse)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="additionally stream the large space with N "
-                             "chunk-shard workers and require digest "
-                             "identity vs the serial fold (default 1: "
-                             "serial only)")
-    parser.add_argument("--executor", default="threads",
-                        help="executor strategy for --jobs > 1 "
-                             "(default: threads)")
     parser.add_argument("--min-fps", type=float, default=None,
                         help="add a frames-per-second floor to the large "
                              "run so the throughput-side suffix pushdown "
@@ -148,31 +123,16 @@ def main(argv=None) -> int:
         raise SystemExit(f"large space has only {rows} candidates "
                          f"(need >= {args.min_rows})")
 
-    if not args.skip_digest:
-        check_digest_identity(explorer, space, characterizations, usable)
+    check_digest_identity(explorer, space, characterizations, usable)
 
     constraints = DseConstraints(device_only=True,
                                  min_frames_per_second=args.min_fps)
-    streamed, elapsed = run_large(explorer, space, characterizations,
-                                  usable, args.chunk_rows, constraints)
-    parallel_metrics = None
-    if args.jobs > 1:
-        parallel, parallel_s = run_large(
-            explorer, space, characterizations, usable, args.chunk_rows,
-            constraints, jobs=args.jobs, executor=args.executor)
-        if serialized(parallel.pareto) != serialized(streamed.pareto):
-            raise SystemExit(
-                f"parallel digest mismatch: --jobs {args.jobs} "
-                f"({args.executor}) != serial fold")
-        if parallel.peak_chunk_rows > args.chunk_rows:
-            raise SystemExit("parallel peak chunk exceeded --chunk-rows")
-        parallel_metrics = {
-            "jobs": parallel.jobs,
-            "executor": args.executor,
-            "elapsed_s": round(parallel_s, 3),
-            "speedup_vs_serial": round(elapsed / parallel_s, 2),
-            "digest_identical": True,
-        }
+    started = time.perf_counter()
+    streamed = explore_stream(space, characterizations,
+                              explorer.throughput_model, 1024, 768,
+                              constraints, usable,
+                              chunk_rows=args.chunk_rows)
+    elapsed = time.perf_counter() - started
     rss = peak_rss_mb()
     metrics = {
         "space_rows": streamed.space_rows,
@@ -192,8 +152,6 @@ def main(argv=None) -> int:
         "peak_rss_mb": round(rss, 1),
         "rss_ceiling_mb": args.rss_ceiling_mb,
     }
-    if parallel_metrics is not None:
-        metrics["parallel"] = parallel_metrics
     if args.json:
         print(json.dumps(metrics, indent=2, sort_keys=True))
     else:
@@ -204,11 +162,6 @@ def main(argv=None) -> int:
               f"{metrics['pareto_points']} Pareto points, "
               f"peak RSS {metrics['peak_rss_mb']} MB "
               f"(ceiling {args.rss_ceiling_mb} MB)")
-        if parallel_metrics is not None:
-            print(f"parallel ok: --jobs {parallel_metrics['jobs']} "
-                  f"({parallel_metrics['executor']}) digest-identical, "
-                  f"{parallel_metrics['elapsed_s']}s "
-                  f"({parallel_metrics['speedup_vs_serial']}x vs serial)")
     if rss > args.rss_ceiling_mb:
         raise SystemExit(f"peak RSS {rss:.1f} MB exceeded the "
                          f"{args.rss_ceiling_mb} MB ceiling")

@@ -1,7 +1,16 @@
 #!/usr/bin/env python
 """Observability smoke (``scripts/check.sh --obs``).
 
-Boots ``python -m repro serve`` as a real subprocess on an ephemeral
+First gates the cost of tracing in-process: the 4 distinct scenario
+workloads of a small service burst run through threaded ``run_many``
+batches with the recorder off and with every span recorded into a
+:class:`repro.obs.trace.TraceStore`.  The traced and untraced result
+digests must be byte-identical, and the CPU time spent inside the
+tracer's entry points must stay under 5% of the traced batch's process
+CPU time (see :func:`check_trace_overhead`; the wall-time difference is
+printed, not gated).
+
+Then boots ``python -m repro serve`` as a real subprocess on an ephemeral
 port and verifies the end-to-end observability surface across the
 process boundary:
 
@@ -23,17 +32,19 @@ Usage::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.api import Workload  # noqa: E402
+from repro.api import Session, Workload  # noqa: E402
 from repro.obs import trace  # noqa: E402
 from repro.obs.metrics import parse_exposition  # noqa: E402
 from repro.service import ReproClient  # noqa: E402
@@ -44,6 +55,117 @@ SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
 
 ADDRESS_PATTERN = re.compile(
     r"repro service listening on (http://[\d.]+:\d+)")
+
+#: The CPU time spent inside TRACER_ENTRY_POINTS may be at most this
+#: fraction of the traced batch's process CPU time (worst of the repeats).
+MAX_TRACE_OVERHEAD = 0.05
+
+#: Every tracer call the flow makes: span creation and recording, and the
+#: context handoffs between threads and processes.  Callers reach each one
+#: through the ``trace`` module or class attribute, so patching it here
+#: times every call, and none calls another, so nothing is counted twice.
+#: The cost of building a span's arguments at the call site is not
+#: counted.
+TRACER_ENTRY_POINTS = (
+    (trace, "span"), (trace, "start_span"), (trace.Span, "finish"),
+    (trace.Span, "context_payload"), (trace, "context_payload"),
+    (trace, "absorb"), (trace.adopt, "__enter__"),
+    (trace.adopt, "__exit__"), (trace.capture, "__enter__"),
+    (trace.capture, "__exit__"))
+
+
+def overhead_workloads() -> "list[Workload]":
+    """The 4 distinct (device, format) scenarios of a small service burst."""
+    from repro.ir.operators import DataFormat
+
+    return [
+        Workload.from_algorithm(
+            "blur", device=device, data_format=data_format, iterations=6,
+            frame_width=640, frame_height=480, window_sides=(1, 2, 3, 4),
+            max_depth=3, max_cones_per_depth=6)
+        for device in ("xc6vlx760", "xc2vp30")
+        for data_format in (DataFormat.FIXED16, DataFormat.FIXED32)]
+
+
+def check_trace_overhead(repeats: int = 3) -> None:
+    """Traced and untraced ``run_many`` batches: identical digests, and
+    the tracer's own CPU share of each traced batch under
+    MAX_TRACE_OVERHEAD.
+
+    Every batch runs in a fresh session, so each pays the same
+    characterization work; one untimed warmup fills the process-global
+    shared tables.  ``repeats`` untraced and traced batches alternate,
+    and all must produce one digest.  During a traced batch every
+    TRACER_ENTRY_POINTS call is timed in thread CPU time (summed over
+    both pool threads); the overhead is that sum over the batch's process
+    CPU time, and the worst of the ``repeats`` traced batches is gated.
+    Numerator and denominator come from the same run, so the ratio holds
+    on a shared host whose speed drifts: there a plain CPU loop's wall
+    moves by +-20% between runs, and the best-of-``repeats`` difference
+    of traced and untraced walls (printed, not gated) swings by more than
+    +-10% around a true cost well under 1%.
+    """
+    workloads = overhead_workloads()
+    store = trace.TraceStore(max_traces=4096)
+    tracer_s: "list[float]" = []  # list.append is atomic across threads
+
+    def timed(method):
+        # thread CPU time: a wall clock would also count the waits for
+        # the GIL held by the other pool thread
+        def wrapper(*args, **kwargs):
+            started = time.thread_time()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                tracer_s.append(time.thread_time() - started)
+        return wrapper
+
+    def run(traced: bool) -> "tuple[float, float, str]":
+        originals = [getattr(owner, name)
+                     for owner, name in TRACER_ENTRY_POINTS]
+        if traced:
+            for (owner, name), method in zip(TRACER_ENTRY_POINTS, originals):
+                setattr(owner, name, timed(method))
+            trace.enable(store)
+        started, started_cpu = time.perf_counter(), time.process_time()
+        try:
+            with trace.span("obs_smoke.batch"):
+                results = Session().run_many(workloads, max_workers=2,
+                                             executor="threads")
+        finally:
+            wall = time.perf_counter() - started
+            cpu = time.process_time() - started_cpu
+            trace.disable()
+            for (owner, name), method in zip(TRACER_ENTRY_POINTS, originals):
+                setattr(owner, name, method)
+        digest = hashlib.sha256(json.dumps(
+            [result.to_dict() for result in results],
+            sort_keys=True).encode("utf-8")).hexdigest()
+        return wall, cpu, digest
+
+    run(traced=False)  # warmup: shared tables, not timed
+    walls = {False: [], True: []}
+    digests = set()
+    overheads = []
+    for _ in range(repeats):
+        for traced in (False, True):
+            tracer_s.clear()
+            wall, cpu, digest = run(traced)
+            walls[traced].append(wall)
+            digests.add(digest)
+            if traced:
+                overheads.append(sum(tracer_s) / cpu)
+    assert len(digests) == 1, f"tracing changed the results: {digests}"
+    spans = store.stats_snapshot()["spans_added"]
+    assert spans > 0, "the traced batches recorded no spans"
+    overhead = max(overheads)
+    wall_delta = min(walls[True]) / min(walls[False]) - 1.0
+    print(f"  tracer CPU {overhead:.3%} of the traced batch (worst of "
+          f"{repeats}, {spans} spans); best-of-{repeats} wall delta "
+          f"{wall_delta:+.1%} (not gated); digests identical")
+    assert overhead < MAX_TRACE_OVERHEAD, (
+        f"tracing overhead {overhead:.2%} breaches the "
+        f"{MAX_TRACE_OVERHEAD:.0%} budget")
 
 
 def start_server() -> "tuple[subprocess.Popen, str]":
@@ -164,6 +286,8 @@ def check_metrics_surface(client: ReproClient, before_text: str) -> None:
 
 
 def main() -> int:
+    print("gating the tracing overhead (4 scenarios, untraced vs traced)")
+    check_trace_overhead()
     print("starting `python -m repro serve --port 0` ...")
     process, url = start_server()
     try:

@@ -404,10 +404,8 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default), processes (cold CPU-bound sweeps), "
                              "or any registered executor backend")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads/processes for the batch — and, "
-                             "with --stream, for the chunk-shard fan-out of "
-                             "each streamed exploration (default: auto / "
-                             "serial fold)")
+                        help="worker threads/processes for the batch "
+                             "(default: auto)")
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser,
@@ -496,17 +494,6 @@ def _constraints_from(args: argparse.Namespace) -> Optional[DseConstraints]:
     )
 
 
-def _stream_jobs_from(args: argparse.Namespace) -> Optional[int]:
-    """``--jobs`` doubles as the streamed chunk-shard fan-out width.
-
-    Validated with the batch executor's own check so an invalid count gets
-    the same ``max_workers`` diagnostic whichever layer would hit it first.
-    """
-    from repro.api.executor import validate_max_workers
-
-    return validate_max_workers(getattr(args, "jobs", None))
-
-
 def workload_from_args(args: argparse.Namespace) -> Workload:
     frame_width, frame_height = parse_frame(args.frame)
     windows = parse_windows(args.windows)
@@ -522,7 +509,6 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
         constraints=_constraints_from(args),
         stream=args.stream,
         chunk_rows=args.chunk_rows,
-        stream_jobs=_stream_jobs_from(args),
     )
     if windows is not None:
         keywords["window_sides"] = windows
@@ -532,14 +518,9 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
 def _session(args: argparse.Namespace) -> Session:
     store = getattr(args, "store", None)
     quiet = getattr(args, "quiet", False) or getattr(args, "json", False)
-    # streamed explorations fan chunk shards through the same strategy
-    # the batch scheduling picked (--executor), so `--stream --jobs N`
-    # means N workers whichever layer ends up doing the work
-    stream_executor = getattr(args, "executor", None)
     if quiet:
-        return Session(store=store, stream_executor=stream_executor)
-    return Session(on_event=_print_event, store=store,
-                   stream_executor=stream_executor)
+        return Session(store=store)
+    return Session(on_event=_print_event, store=store)
 
 
 def _print_event(event: SessionEvent) -> None:
@@ -690,8 +671,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                     max_depth=args.max_depth,
                                     max_cones_per_depth=args.max_cones,
                                     stream=args.stream,
-                                    chunk_rows=args.chunk_rows,
-                                    stream_jobs=_stream_jobs_from(args))
+                                    chunk_rows=args.chunk_rows)
                     if windows is not None:
                         keywords["window_sides"] = windows
                     workloads.append(Workload.from_algorithm(name, **keywords))

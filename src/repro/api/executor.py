@@ -38,12 +38,7 @@ Out-of-tree strategies plug in like every other backend::
 
 A strategy factory is invoked with no arguments and must return an object
 with ``run_batch(session, workloads, max_workers=None) -> List[FlowResult]``
-(see :class:`ExecutionStrategy`).  Strategies may additionally expose the
-optional ``map_tasks(fn, payloads, max_workers=None)`` capability — a plain
-deterministic ``map`` over picklable payloads used by the streaming
-exploration engine (:mod:`repro.dse.stream`) to fan chunk shards out; a
-strategy without it still works everywhere, callers just fall back to an
-in-process loop.
+(see :class:`ExecutionStrategy`).
 
 The ``processes`` strategy resolves workloads inside fresh worker processes,
 so their kernels/backends must be importable there: registry algorithms,
@@ -192,12 +187,6 @@ class SerialExecutor:
         validate_max_workers(max_workers)
         return [session.run(workload) for workload in workloads]
 
-    def map_tasks(self, fn, payloads: Sequence[Any],
-                  max_workers: Optional[int] = None) -> List[Any]:
-        """Apply ``fn`` to every payload in input order, in-process."""
-        validate_max_workers(max_workers)
-        return [fn(payload) for payload in payloads]
-
 
 class ThreadExecutor:
     """Fan the batch out over a shared-session thread pool."""
@@ -221,16 +210,6 @@ class ThreadExecutor:
         with ThreadPoolExecutor(max_workers=workers,
                                 thread_name_prefix="repro-session") as pool:
             return list(pool.map(traced_run, workloads))
-
-    def map_tasks(self, fn, payloads: Sequence[Any],
-                  max_workers: Optional[int] = None) -> List[Any]:
-        """Apply ``fn`` over a thread pool; results in input order."""
-        workers = resolve_worker_count(max_workers, len(payloads))
-        if workers <= 1 or len(payloads) <= 1:
-            return [fn(payload) for payload in payloads]
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="repro-map") as pool:
-            return list(pool.map(fn, payloads))
 
 
 class ProcessExecutor:
@@ -334,21 +313,6 @@ class ProcessExecutor:
             failures.sort(key=lambda entry: entry[0])
             raise failures[0][1]
         return results
-
-    def map_tasks(self, fn, payloads: Sequence[Any],
-                  max_workers: Optional[int] = None) -> List[Any]:
-        """Apply ``fn`` over a process pool; results in input order.
-
-        ``fn`` and every payload must be picklable (module-level function,
-        plain-data arguments).  A single payload (or a one-worker pool)
-        runs in-process — forking would only add pickle overhead.
-        """
-        workers = resolve_worker_count(max_workers, len(payloads))
-        if workers <= 1 or len(payloads) <= 1:
-            return [fn(payload) for payload in payloads]
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=self._context()) as pool:
-            return list(pool.map(fn, payloads))
 
 
 #: One failed shard entry: (position within the shard, the exception, the

@@ -52,11 +52,9 @@ class FlowOptions:
     #: Out-of-core evaluation knobs (:mod:`repro.dse.stream`): ``stream``
     #: is tri-state (None = auto-select above the engine's row threshold),
     #: ``chunk_rows`` bounds the rows materialized per chunk (None = the
-    #: engine default), ``stream_jobs`` fans chunk shards across workers
-    #: (None = serial fold; results are bit-identical either way).
+    #: engine default).
     stream: Optional[bool] = None
     chunk_rows: Optional[int] = None
-    stream_jobs: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation."""
@@ -79,7 +77,10 @@ class FlowOptions:
             "throughput_estimator": self.throughput_estimator,
             "stream": self.stream,
             "chunk_rows": self.chunk_rows,
-            "stream_jobs": self.stream_jobs,
+            # Constant, kept for the frozen perfbench ``service_mix``
+            # digests and existing ``ArtifactStore`` result keys, which
+            # hash this key; it goes with their planned re-freeze.
+            "stream_jobs": None,
         }
 
     @classmethod
@@ -106,7 +107,7 @@ class FlowOptions:
             # .get: payloads written before the streaming engine existed
             stream=data.get("stream"),
             chunk_rows=data.get("chunk_rows"),
-            stream_jobs=data.get("stream_jobs"),
+            # "stream_jobs" is ignored: a streamed exploration is one fold
         )
 
 

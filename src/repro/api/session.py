@@ -155,18 +155,11 @@ class Session:
 
     def __init__(self, on_event: Optional[Callable[[SessionEvent], None]] = None,
                  store: Optional[Union[str, os.PathLike,
-                                       ArtifactStore]] = None,
-                 stream_executor: object = None) -> None:
+                                       ArtifactStore]] = None) -> None:
         if store is None or isinstance(store, ArtifactStore):
             self._store = store
         else:
             self._store = ArtifactStore(os.fspath(store))
-        #: Executor strategy handed to streamed explorations (a workload's
-        #: ``stream_jobs`` knob); anything ``resolve_strategy`` accepts,
-        #: ``None`` → the threads default.  Public and mutable: the service
-        #: scheduler adopts its own batch executor here when unset, so
-        #: streamed dispatch and batch dispatch share one pool strategy.
-        self.stream_executor = stream_executor
         self._explorers: Dict[Tuple, DesignSpaceExplorer] = {}
         self._key_locks: Dict[Tuple, threading.Lock] = {}
         self._pipelines: Dict[Workload, Pipeline] = {}
@@ -402,8 +395,7 @@ class Session:
                                       stage=stage, elapsed_s=elapsed))
 
                 pipeline = Pipeline(workload, explorer=explorer,
-                                    observer=observe,
-                                    stream_executor=self.stream_executor)
+                                    observer=observe)
                 self._pipelines[workload] = pipeline
                 if result_key is not None:
                     self._result_keys[workload] = result_key

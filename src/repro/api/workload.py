@@ -44,7 +44,7 @@ _OPTION_FIELDS = tuple(f.name for f in fields(FlowOptions))
 _NON_SHAPE_FIELDS = frozenset({"frame_width", "frame_height", "iterations",
                                "constraints",
                                "onchip_port_elements_per_cycle",
-                               "stream", "chunk_rows", "stream_jobs"})
+                               "stream", "chunk_rows"})
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class Workload:
     #: characterizations (listed in _NON_SHAPE_FIELDS).
     stream: Optional[bool] = _DEFAULTS.stream
     chunk_rows: Optional[int] = _DEFAULTS.chunk_rows
-    stream_jobs: Optional[int] = _DEFAULTS.stream_jobs
     kernel_fingerprint: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
@@ -102,12 +101,12 @@ class Workload:
             raise ValueError(
                 f"frame must be at least 1x1 (got "
                 f"{self.frame_width}x{self.frame_height})")
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise ValueError(
-                f"chunk_rows must be >= 1 (got {self.chunk_rows})")
-        if self.stream_jobs is not None and self.stream_jobs < 1:
-            raise ValueError(
-                f"stream_jobs must be >= 1 (got {self.stream_jobs})")
+        if self.chunk_rows is not None and (
+                isinstance(self.chunk_rows, bool)
+                or not isinstance(self.chunk_rows, int)
+                or self.chunk_rows < 1):
+            raise ValueError(f"chunk_rows must be an integer >= 1 or None "
+                             f"(got {self.chunk_rows!r})")
         object.__setattr__(self, "window_sides",
                            tuple(sorted(set(self.window_sides))))
         # Always normalize: an already-tuple params value may still be

@@ -437,9 +437,7 @@ class DesignSpaceExplorer:
                 constraints: Optional[DseConstraints] = None,
                 onchip_port_elements_per_cycle: Optional[int] = None,
                 *, stream: Optional[bool] = None,
-                chunk_rows: Optional[int] = None,
-                stream_jobs: Optional[int] = None,
-                stream_executor: object = None) -> ExplorationResult:
+                chunk_rows: Optional[int] = None) -> ExplorationResult:
         """Run the full exploration and return design points plus the Pareto set.
 
         ``onchip_port_elements_per_cycle`` overrides the constructor default
@@ -456,10 +454,8 @@ class DesignSpaceExplorer:
         (``result.design_points`` are the ``result.pareto`` members) and
         records chunking/pushdown metadata under ``result.streaming``.
         ``chunk_rows`` bounds the rows materialized per chunk (``None`` →
-        ``DEFAULT_CHUNK_ROWS``); ``stream_jobs`` fans the chunk schedule
-        across workers through ``stream_executor`` (anything
-        :func:`repro.api.executor.resolve_strategy` accepts; ``None`` →
-        threads) with bit-identical results at any worker count.
+        ``DEFAULT_CHUNK_ROWS``); the chunks fold into one frontier
+        in-process.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
         space = self._space(total_iterations)
@@ -481,8 +477,7 @@ class DesignSpaceExplorer:
             space, characterizations, throughput_model,
             frame_width, frame_height, constraints, usable_luts,
             chunk_rows=(DEFAULT_CHUNK_ROWS if chunk_rows is None
-                        else chunk_rows),
-            jobs=stream_jobs, executor=stream_executor)
+                        else chunk_rows))
         return self._assemble_result(
             total_iterations, frame_width, frame_height, characterizations,
             validations, list(evaluation.pareto), evaluation.pareto,
@@ -498,7 +493,6 @@ class DesignSpaceExplorer:
                 "peak_chunk_rows": evaluation.peak_chunk_rows,
                 "frontier_peak": evaluation.frontier_peak,
                 "mask_cache_hit": evaluation.mask_cache_hit,
-                "stream_jobs": evaluation.jobs,
             })
 
     def _throughput_model_for(self, onchip_port_elements_per_cycle:

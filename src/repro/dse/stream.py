@@ -45,19 +45,6 @@ Pieces:
    recomputed per call (O(groups·log rows) probes) and deliberately kept
    out of the cache key.  Counters are exposed through :func:`stream_stats`
    (the service tier serves them under ``stats()["stream"]``).
-5. Chunks are independent by construction, so ``explore_stream(jobs=N)``
-   fans deterministic contiguous shards of the chunk schedule across an
-   executor strategy (:func:`repro.api.executor.resolve_strategy` — the
-   same ``serial``/``threads``/``processes`` names ``run_many`` accepts).
-   Each worker folds its shard into a private frontier and ships the
-   bounded state back; the parent reduces with
-   :meth:`StreamingFrontier.merge`, which is associative and
-   order-insensitive (the (area, time, global-row) total order makes the
-   merged state a pure function of the union), so the
-   result is bit-identical to the serial fold whatever the worker count,
-   shard assignment, or completion order.  Workers receive chunk
-   *descriptors* (pure index arithmetic), never materialized columns, so a
-   process pool neither pickles tables nor re-warms the shared table cache.
 
 :func:`explore_stream` is the engine-level entry point;
 :meth:`repro.dse.explorer.DesignSpaceExplorer.explore` selects it at or
@@ -74,8 +61,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -157,21 +144,6 @@ class StreamingFrontier:
         self._area = areas[keep]
         self._time = times[keep]
         self._order = orders[keep]
-
-    def merge(self, other: "StreamingFrontier") -> "StreamingFrontier":
-        """Fold another frontier's state into this one (in place).
-
-        Associative and commutative: the frontier of a set is the frontier
-        of the union of its parts' frontiers, and the (area, time, order)
-        total order picks the same tie-break representative whichever side
-        it arrives on — so parallel workers can fold disjoint chunk shards
-        independently and reduce in *any* order, with a result bit-identical
-        to one serial fold over everything.  Orders must stay globally
-        unique across the merged parts (disjoint chunk shards guarantee
-        it).  Returns ``self`` for reduction chaining.
-        """
-        self.update(other._area, other._time, other._order)
-        return self
 
     def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """``(area, time, order)`` of the frontier, in increasing-area order
@@ -327,9 +299,7 @@ def _admitted_prefix(n_counts: int, area_limit: float,
 _mask_cache = CountingLru("repro_stream", MASK_CACHE_CAPACITY)
 _RUN_COUNTERS = {
     name: obs_metrics.registry().counter(f"repro_stream_{name}")
-    for name in ("runs", "parallel_runs", "chunks_materialized",
-                 "duplicate_chunk_materializations",
-                 "throughput_pruned_rows")}
+    for name in ("runs", "chunks_materialized", "throughput_pruned_rows")}
 
 
 def stream_stats() -> Dict[str, int]:
@@ -340,13 +310,10 @@ def stream_stats() -> Dict[str, int]:
     ``hits`` growing across jobs is the signature of incremental
     re-explores (only per-run knobs changed, pushdown analysis reused);
     ``evictions`` counts distinct (shape, area, constraint) combinations
-    beyond the bound.  The run half: ``runs``/``parallel_runs`` count
-    streamed explorations (parallel = dispatched to >1 worker),
-    ``chunks_materialized`` the chunks actually costed across them,
-    ``duplicate_chunk_materializations`` how many of those were redundant
-    (always 0 unless the shard partition is broken — asserted in tests),
-    and ``throughput_pruned_rows`` the rows the min-fps suffix pushdown
-    skipped before costing.
+    beyond the bound.  The run half: ``runs`` counts streamed
+    explorations, ``chunks_materialized`` the chunks actually costed
+    across them, and ``throughput_pruned_rows`` the rows the min-fps
+    suffix pushdown skipped before costing.
     """
     return obs_metrics.registry().values("repro_stream_")
 
@@ -454,11 +421,9 @@ def _group_context(space: ArchitectureSpace,
                    window: int, split: Tuple[int, ...]) -> _GroupContext:
     """Build one group's evaluation context from pure index arithmetic.
 
-    Shared by the fold workers, the throughput-pushdown probes, the point
-    builder, and the columnar engine's group loop — a worker process
-    rebuilds contexts from the (small, picklable) space + characterizations
-    instead of receiving materialized columns, so chunk shards ship as
-    descriptors only.
+    Used through :meth:`_PointBuilder.context` (one lazy cache for the
+    fps probes, the chunk fold and the point builder) and by the columnar
+    engine's group loop.
     """
     depths = sorted(set(split))
     area_by_depth = {
@@ -552,19 +517,18 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
     return high - 1  # count `high` is the smallest admitted count
 
 
-def _plan_groups(space: ArchitectureSpace,
-                 splits: Tuple[Tuple[int, ...], ...],
-                 characterizations: Mapping[Tuple[int, int],
-                                            "ConeCharacterization"],
-                 throughput_model: ThroughputModel,
+def _plan_groups(throughput_model: ThroughputModel,
                  frame_width: int, frame_height: int,
                  constraints: DseConstraints,
-                 admissions: Mapping[Tuple[int, int], _GroupAdmission]
+                 admissions: Mapping[Tuple[int, int], _GroupAdmission],
+                 context: Callable[[Tuple[int, int]], _GroupContext]
                  ) -> Tuple[Dict[Tuple[int, int], _GroupPlan], int]:
     """Intersect the cached area prefixes with the fps suffix per group.
 
     Returns the per-group plans plus the total rows the throughput-side
     pushdown pruned (rows inside the area prefix but below the floor).
+    ``context`` hands out the (lazily built, shared) group contexts the
+    fps probes need.
     The suffix probe is gated on the stock batch formula
     (:func:`repro.dse.engine.supports_columnar`); models that override it
     keep the post-cost filter, bit-identical either way.
@@ -592,13 +556,9 @@ def _plan_groups(space: ArchitectureSpace,
                 evaluable=True, start=0, stop=admission.admit_len,
                 post_filter=True)
             continue
-        window_index, split_index = group_key
-        context = _group_context(space, characterizations,
-                                 space.window_sides[window_index],
-                                 splits[split_index])
         start = _throughput_admitted_start(
-            admission.admit_len, min_fps, context, throughput_model,
-            frame_width, frame_height)
+            admission.admit_len, min_fps, context(group_key),
+            throughput_model, frame_width, frame_height)
         if start is None:
             plans[group_key] = _GroupPlan(
                 evaluable=True, start=0, stop=admission.admit_len,
@@ -629,10 +589,9 @@ class StreamingExploration:
     #: Chunks never materialized: fully pruned by pushdown, outside the
     #: admitted interval, or in a group without characterizations.
     chunks_skipped: int
-    #: Largest number of rows actually materialized at once (per worker).
+    #: Largest number of rows actually materialized at once.
     peak_chunk_rows: int
-    #: Largest frontier state observed while streaming (on any worker, or
-    #: after a merge).
+    #: Largest frontier state observed while streaming.
     frontier_peak: int
     mask_cache_hit: bool
     pareto_row_index: "np.ndarray"
@@ -640,178 +599,10 @@ class StreamingExploration:
     #: Rows pruned by the min-fps suffix pushdown (included in
     #: ``pruned_rows``); 0 when no floor was set or the model declined.
     throughput_pruned_rows: int = 0
-    #: Effective worker count the chunk schedule was dispatched across.
-    jobs: int = 1
 
     @property
     def pruned_fraction(self) -> float:
         return self.pruned_rows / self.space_rows if self.space_rows else 0.0
-
-
-def _validate_jobs(jobs: Optional[int]) -> int:
-    """The effective worker count (``None`` means serial in-process)."""
-    if jobs is None:
-        return 1
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(
-            f"jobs must be a positive integer or None (got {jobs!r})")
-    return jobs
-
-
-def _shard_schedule(schedule: Sequence[int], jobs: int) -> List[List[int]]:
-    """Split the chunk schedule into up to ``jobs`` contiguous shards.
-
-    Contiguous slices keep each worker's group contexts warm (consecutive
-    chunks usually share a group); the balanced bounds are a pure function
-    of (len, jobs), so the partition — like everything else here — is
-    deterministic.  Merge associativity makes the results independent of
-    the partition anyway; this only shapes the wall-clock.
-    """
-    total = len(schedule)
-    if total == 0:
-        return [[]]
-    jobs = min(jobs, total)
-    bounds = [round(shard * total / jobs) for shard in range(jobs + 1)]
-    return [list(schedule[bounds[i]:bounds[i + 1]])
-            for i in range(jobs) if bounds[i] < bounds[i + 1]]
-
-
-#: One shard's work order: everything a worker needs to fold its chunks,
-#: descriptors only (picklable for process pools; no tables, no columns).
-_ShardPayload = Tuple
-
-
-def _fold_chunk_shard(payload: _ShardPayload) -> Dict[str, object]:
-    """Worker entry point: fold one shard of chunks into private state.
-
-    Runs identically on the calling thread (serial path), in a thread pool,
-    or in a worker process — it touches no module-level mutable state (the
-    counters are updated by the parent from the returned report, so process
-    workers are not special-cased).  Returns the private frontier plus the
-    shard's accounting and the global indices of the chunks it
-    materialized (the parent asserts the shards did not overlap).
-
-    The payload's trailing ``trace_context`` (a span handoff payload, or
-    ``None``) parents a per-shard ``stream.shard`` span into the caller's
-    trace.  In-process workers record straight into the live recorder;
-    a worker process (recorder off in a fresh interpreter) captures its
-    spans locally and ships them back under ``report["spans"]`` — same
-    ship-through-the-report pattern as the counters, so no worker ever
-    mutates parent state.  ``report["fold_wall_s"]`` always carries the
-    shard's fold wall time for the parent's chunk-fold histogram.
-    """
-    (space, characterizations, throughput_model, frame_width, frame_height,
-     shard, plans, min_fps, trace_context) = payload
-    fold_started = time.perf_counter()
-
-    def traced_fold() -> Dict[str, object]:
-        with obs_trace.adopt(trace_context):
-            with obs_trace.span("stream.shard", chunks=len(shard)) as span:
-                report = fold()
-                span.set_attributes(
-                    chunks_materialized=len(report["materialized"]),
-                    admitted_rows=report["admitted_rows"])
-                return report
-
-    if trace_context is None:
-        report = fold_shard(space, characterizations, throughput_model,
-                            frame_width, frame_height, shard, plans,
-                            min_fps)
-    else:
-        def fold() -> Dict[str, object]:
-            return fold_shard(space, characterizations, throughput_model,
-                              frame_width, frame_height, shard, plans,
-                              min_fps)
-
-        if obs_trace.enabled():
-            report = traced_fold()
-        else:
-            shipped: List[Dict[str, object]] = []
-            with obs_trace.capture(shipped):
-                report = traced_fold()
-            report["spans"] = shipped
-    report["fold_wall_s"] = time.perf_counter() - fold_started
-    return report
-
-
-def fold_shard(space: ArchitectureSpace,
-               characterizations: Mapping[Tuple[int, int],
-                                          "ConeCharacterization"],
-               throughput_model: ThroughputModel,
-               frame_width: int, frame_height: int,
-               shard: Sequence[Tuple[int, SpaceChunk]],
-               plans: Mapping[Tuple[int, int], _GroupPlan],
-               min_fps: Optional[float]) -> Dict[str, object]:
-    """The pure fold over one shard's chunks (see :func:`_fold_chunk_shard`)."""
-    frontier = StreamingFrontier()
-    contexts: Dict[Tuple[int, int], _GroupContext] = {}
-    admitted_rows = 0
-    chunks_skipped = 0
-    peak_chunk_rows = 0
-    frontier_peak = 0
-    materialized: List[int] = []
-
-    for chunk_index, chunk in shard:
-        group_key = (chunk.window_index, chunk.split_index)
-        plan = plans[group_key]
-        start = max(chunk.count_start, plan.start)
-        stop = min(chunk.count_stop, plan.stop)
-        if not plan.evaluable or stop <= start:
-            chunks_skipped += 1
-            continue
-        context = contexts.get(group_key)
-        if context is None:
-            context = _group_context(space, characterizations,
-                                     chunk.window, chunk.split)
-            contexts[group_key] = context
-
-        counts = chunk.counts(start=start, stop=stop)
-        materialized.append(chunk_index)
-        peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
-        area = _group_area(counts, context.depths, context.primary,
-                           context.area_by_depth)
-        columns = throughput_model.estimate_batch(
-            context.representative, context.cone_performance,
-            frame_width, frame_height, counts)
-        times = np.asarray(columns["seconds_per_frame"])
-        rows = chunk.base_row + np.arange(start, stop, dtype=np.int64)
-        if plan.post_filter and min_fps is not None:
-            admitted = columns["frames_per_second"] >= min_fps
-            area, times, rows = area[admitted], times[admitted], rows[admitted]
-        if rows.size == 0:
-            continue
-        admitted_rows += int(rows.size)
-        frontier.update(area, times, rows)
-        frontier_peak = max(frontier_peak, len(frontier))
-
-    return {"frontier": frontier,
-            "admitted_rows": admitted_rows,
-            "chunks_skipped": chunks_skipped,
-            "peak_chunk_rows": peak_chunk_rows,
-            "frontier_peak": frontier_peak,
-            "materialized": materialized}
-
-
-def _map_shards(payloads: List[_ShardPayload], executor: object,
-                jobs: int) -> List[Dict[str, object]]:
-    """Dispatch shard payloads through an executor strategy.
-
-    ``executor`` is anything :func:`repro.api.executor.resolve_strategy`
-    accepts (``None`` → ``"threads"``, a registered name, or a strategy
-    instance).  Strategies expose chunk-shard fan-out through
-    ``map_tasks(fn, payloads, max_workers)``; one without it (a custom
-    ``run_batch``-only backend) degrades to an in-process loop — correct,
-    just not parallel.
-    """
-    # lazy: keeps `import repro.dse.stream` NumPy+stdlib-only (the check.sh
-    # import guard) and avoids the api-layer dependency on the serial path.
-    from repro.api.executor import resolve_strategy
-
-    strategy = resolve_strategy(executor)
-    map_tasks = getattr(strategy, "map_tasks", None)
-    if map_tasks is None:
-        return [_fold_chunk_shard(payload) for payload in payloads]
-    return list(map_tasks(_fold_chunk_shard, payloads, max_workers=jobs))
 
 
 def explore_stream(space: ArchitectureSpace,
@@ -822,21 +613,18 @@ def explore_stream(space: ArchitectureSpace,
                    constraints: Optional[DseConstraints] = None,
                    usable_luts: float = math.inf,
                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                   chunk_order: Optional[Sequence[int]] = None,
-                   jobs: Optional[int] = None,
-                   executor: object = None) -> StreamingExploration:
+                   chunk_order: Optional[Sequence[int]] = None
+                   ) -> StreamingExploration:
     """Evaluate a whole architecture space at bounded memory.
 
     Visits the same candidates as :func:`repro.dse.engine.explore_columnar`
     and produces the identical Pareto frontier (same design points, same
-    order, bit-identical serializations) — whatever ``chunk_rows`` is,
+    order, bit-identical serializations) — whatever ``chunk_rows`` is, and
     whatever order ``chunk_order`` (a permutation of the planned chunk
-    indices, mainly for tests) processes the chunks in, and whatever
-    ``jobs``/``executor`` the chunk schedule is dispatched across (shards
-    fold privately and reduce via the associative ``merge``).  Peak memory
-    is bounded by the per-worker chunk size plus the frontier state, never
-    by the space.  A backend that overrides a per-row hook is costed
-    through :func:`repro.dse.engine.batch_backend`.
+    indices, mainly for tests) folds the chunks in.  Peak memory is bounded
+    by the chunk size plus the frontier state, never by the space.  A
+    backend that overrides a per-row hook is costed through
+    :func:`repro.dse.engine.batch_backend`.
 
     ``pruned_rows`` counts every row skipped before costing: the area-side
     prefix pushdown (identical to the columnar engine's accounting) plus
@@ -850,10 +638,8 @@ def explore_stream(space: ArchitectureSpace,
 
     constraints = constraints or DseConstraints()
     throughput_model = batch_backend(throughput_model, space)
-    jobs = _validate_jobs(jobs)
     chunks = plan_chunks(space, chunk_rows)
     splits = tuple(tuple(split) for split in space.level_splits())
-    n_counts = space.max_cones_per_depth
 
     if chunk_order is None:
         schedule: List[int] = list(range(len(chunks)))
@@ -870,73 +656,71 @@ def explore_stream(space: ArchitectureSpace,
         admissions = _compute_admissions(space, splits, characterizations,
                                          constraints, usable_luts)
         _mask_cache.put(key, admissions)
+    builder = _PointBuilder(space, characterizations, throughput_model,
+                            frame_width, frame_height, usable_luts, splits)
     plans, throughput_pruned = _plan_groups(
-        space, splits, characterizations, throughput_model,
-        frame_width, frame_height, constraints, admissions)
+        throughput_model, frame_width, frame_height, constraints,
+        admissions, builder.context)
     pruned_rows = (sum(entry.pruned for entry in admissions.values())
                    + throughput_pruned)
 
     min_fps = constraints.min_frames_per_second
-    shards = _shard_schedule(schedule, jobs) if jobs > 1 else [schedule]
     frontier = StreamingFrontier()
     admitted_rows = 0
-    chunks_skipped = 0
+    chunks_materialized = 0
     peak_chunk_rows = 0
     frontier_peak = 0
-    materialized: List[int] = []
-    fold_histogram = obs_metrics.registry().histogram(
-        "repro_stream_chunk_fold_seconds")
-    with obs_trace.span("stream.explore", chunks=len(chunks), jobs=jobs,
-                        shards=len(shards)):
-        # capture the span handoff *inside* the span so every shard —
-        # same thread, pool thread, or worker process — parents to it
-        trace_context = obs_trace.context_payload()
-        payloads = [
-            (space, characterizations, throughput_model, frame_width,
-             frame_height, [(index, chunks[index]) for index in shard],
-             plans, min_fps, trace_context)
-            for shard in shards]
-        if len(payloads) > 1:
-            folds = _map_shards(payloads, executor, jobs)
-        else:
-            folds = [_fold_chunk_shard(payload) for payload in payloads]
-
-        for fold in folds:
-            frontier.merge(fold["frontier"])
-            admitted_rows += fold["admitted_rows"]
-            chunks_skipped += fold["chunks_skipped"]
-            peak_chunk_rows = max(peak_chunk_rows, fold["peak_chunk_rows"])
-            frontier_peak = max(frontier_peak, fold["frontier_peak"],
-                                len(frontier))
-            materialized.extend(fold["materialized"])
-            fold_histogram.observe(fold["fold_wall_s"])
-            obs_trace.absorb(fold.get("spans"))
-    duplicates = len(materialized) - len(set(materialized))
+    fold_started = time.perf_counter()
+    with obs_trace.span("stream.explore", chunks=len(chunks)):
+        for chunk in (chunks[index] for index in schedule):
+            group_key = (chunk.window_index, chunk.split_index)
+            plan = plans[group_key]
+            start = max(chunk.count_start, plan.start)
+            stop = min(chunk.count_stop, plan.stop)
+            if not plan.evaluable or stop <= start:
+                continue
+            context = builder.context(group_key)
+            counts = chunk.counts(start=start, stop=stop)
+            chunks_materialized += 1
+            peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
+            area = _group_area(counts, context.depths, context.primary,
+                               context.area_by_depth)
+            columns = throughput_model.estimate_batch(
+                context.representative, context.cone_performance,
+                frame_width, frame_height, counts)
+            times = np.asarray(columns["seconds_per_frame"])
+            rows = chunk.base_row + np.arange(start, stop, dtype=np.int64)
+            if plan.post_filter and min_fps is not None:
+                admitted = columns["frames_per_second"] >= min_fps
+                area, times, rows = (area[admitted], times[admitted],
+                                     rows[admitted])
+            if rows.size == 0:
+                continue
+            admitted_rows += int(rows.size)
+            frontier.update(area, times, rows)
+            frontier_peak = max(frontier_peak, len(frontier))
+    obs_metrics.registry().histogram(
+        "repro_stream_chunk_fold_seconds").observe(
+            time.perf_counter() - fold_started)
     for name, delta in (("runs", 1),
-                        ("parallel_runs", 1 if len(folds) > 1 else 0),
-                        ("chunks_materialized", len(materialized)),
-                        ("duplicate_chunk_materializations", duplicates),
+                        ("chunks_materialized", chunks_materialized),
                         ("throughput_pruned_rows", throughput_pruned)):
         _RUN_COUNTERS[name].inc(delta)
 
     pareto_area, _pareto_time, pareto_rows = frontier.result()
-    builder = _PointBuilder(space, characterizations, throughput_model,
-                            frame_width, frame_height, usable_luts,
-                            splits, n_counts)
     return StreamingExploration(
         space_rows=space.size(),
         admitted_rows=admitted_rows,
         pruned_rows=pruned_rows,
         chunk_rows=chunk_rows,
         chunks_total=len(chunks),
-        chunks_skipped=chunks_skipped,
+        chunks_skipped=len(chunks) - chunks_materialized,
         peak_chunk_rows=peak_chunk_rows,
         frontier_peak=frontier_peak,
         mask_cache_hit=mask_cache_hit,
         pareto_row_index=pareto_rows,
         pareto=builder.build(pareto_rows, pareto_area),
         throughput_pruned_rows=throughput_pruned,
-        jobs=len(folds),
     )
 
 
@@ -948,13 +732,12 @@ class _PointBuilder:
     elementwise over the count axis, so the subset evaluation reproduces
     the full-table values bit for bit (the stored frontier areas are reused
     directly — they came from the same accumulation).  Group contexts are
-    rebuilt lazily per surviving group: the fold may have happened on
-    worker threads or in worker processes, so the parent holds none.
+    built lazily and shared with the fps probes of :func:`_plan_groups`
+    and the chunk fold, which ask for them through :meth:`context`.
     """
 
     def __init__(self, space, characterizations, throughput_model,
-                 frame_width, frame_height, usable_luts, splits,
-                 n_counts) -> None:
+                 frame_width, frame_height, usable_luts, splits) -> None:
         self.space = space
         self.characterizations = characterizations
         self.throughput_model = throughput_model
@@ -962,10 +745,10 @@ class _PointBuilder:
         self.frame_height = frame_height
         self.usable_luts = usable_luts
         self.splits = splits
-        self.n_counts = n_counts
+        self.n_counts = space.max_cones_per_depth
         self.contexts: Dict[Tuple[int, int], _GroupContext] = {}
 
-    def _context(self, group: Tuple[int, int]) -> _GroupContext:
+    def context(self, group: Tuple[int, int]) -> _GroupContext:
         context = self.contexts.get(group)
         if context is None:
             window_index, split_index = group
@@ -989,7 +772,7 @@ class _PointBuilder:
             group = (int(window_index[position]), int(split_index[position]))
             by_group.setdefault(group, []).append(position)
         for group, positions in by_group.items():
-            context = self._context(group)
+            context = self.context(group)
             counts = np.asarray([int(count_index[p]) + 1 for p in positions],
                                 dtype=np.int64)
             columns = self.throughput_model.estimate_batch(

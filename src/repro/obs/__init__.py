@@ -9,7 +9,7 @@ never pull in test/plot/config frameworks.  Three modules:
     attributes.  Context propagates through ``contextvars`` inside a
     process, through the ``X-Repro-Trace`` header across the
     service/fleet HTTP hops, and through explicit picklable payloads
-    into executor workers and ``explore_stream`` chunk shards.  Spans
+    into ``run_many`` executor workers.  Spans
     land in a ring-buffer :class:`~repro.obs.trace.TraceStore` and
     export as JSONL or Chrome ``trace_event`` JSON.
 
@@ -29,9 +29,13 @@ never pull in test/plot/config frameworks.  Three modules:
     flamegraph-ready folded-stack JSON.
 
 Everything is ~zero-cost when disabled: the recorder is a no-op
-singleton behind one module-global check (pinned by the ``obs_overhead``
-section of ``scripts/bench.py``), and tracing is bit-neutral — spans are
-a side channel that never touches result payloads or digests.
+singleton behind one module-global check, and tracing is bit-neutral —
+spans are a side channel that never touches result payloads or digests.
+``scripts/check.sh --obs`` gates both: a traced ``run_many`` batch must be
+digest-identical to an untraced one, and the CPU time spent inside the
+tracer's calls (span creation and recording, context handoffs) must stay
+under 5% of the traced batch's CPU time, worst of 3 batches.  The
+traced-versus-untraced wall difference is printed but not gated.
 """
 
 from repro.obs import metrics, profile, trace

@@ -12,9 +12,9 @@ and a flat dict of typed attributes.  Three propagation edges:
   (``<32-hex trace>-<16-hex span>``); a malformed or absent header
   degrades to a fresh root span, never an error;
 * **worker handoff** — :func:`context_payload` produces a picklable
-  ``{"trace_id", "span_id", "pid"}`` dict that executor shards and
-  ``explore_stream`` chunk workers re-enter with :func:`adopt`; spans
-  recorded in a child process are captured with :func:`capture` and
+  ``{"trace_id", "span_id", "pid"}`` dict that ``run_many`` executor
+  workers (pool threads and process shards) re-enter with :func:`adopt`;
+  spans recorded in a child process are captured with :func:`capture` and
   re-anchored parent-side with :func:`absorb`.
 
 Recording is off by default.  When disabled, :func:`span` returns a

@@ -53,11 +53,6 @@ class Scheduler:
         self._session = session
         self._queue = queue
         self._strategy = resolve_strategy(executor)
-        # streamed explorations dispatched by this scheduler fan chunk
-        # shards through the same strategy as the batch itself, unless the
-        # session was already configured with its own stream executor
-        if getattr(session, "stream_executor", None) is None:
-            session.stream_executor = self._strategy
         self._max_workers = max_workers
         self._max_batch = max_batch
         self._batch_window_s = batch_window_s

@@ -365,8 +365,8 @@ class TestInProcessWarmPath:
 class TestScalingSpeedup:
     def test_processes_beat_serial_on_a_multicore_runner(self):
         """ISSUE 3 acceptance: >= 2x over serial on a cold 4-kernel batch
-        with 4 workers (the full-scale twin is recorded by scripts/bench.py
-        into BENCH_<date>.json).  Meaningless without real cores — the
+        with 4 workers (the frozen BENCH_<date>.json snapshots hold the
+        last full-scale runs).  Meaningless without real cores — the
         strategy trades fork overhead for parallelism — so skipped below 4.
         """
         if (os.cpu_count() or 1) < 4:

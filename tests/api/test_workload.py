@@ -40,6 +40,11 @@ class TestConstruction:
         workload = Workload.from_algorithm("blur", window_sides=[3, 1, 3, 2])
         assert workload.window_sides == (1, 2, 3)
 
+    @pytest.mark.parametrize("value", [True, 2.5, 1.0, "4"])
+    def test_chunk_rows_must_be_a_positive_int(self, value):
+        with pytest.raises(ValueError, match="chunk_rows"):
+            Workload.from_algorithm("blur", chunk_rows=value)
+
 
 class TestHashingAndEquality:
     def test_hashable_and_equal_across_instances(self):
@@ -139,3 +144,32 @@ class TestOptionsBridge:
         restored = Workload.from_dict(workload.to_dict())
         assert restored == workload
         assert restored.characterization_key() == workload.characterization_key()
+
+
+class TestStreamJobsKeyIsIgnored:
+    def test_payload_with_stream_jobs_is_the_same_workload(self, tmp_path):
+        """A streamed exploration is one fold, so a payload still carrying
+        ``stream_jobs`` names the same workload as one without it: same
+        identity, same serialized result and the same store key (the
+        second session is served the first one's artifact)."""
+        from repro.api import Session
+        from repro.api.store import ArtifactStore
+
+        workload = Workload.from_algorithm(
+            "blur", iterations=4, window_sides=(1, 2, 3), max_depth=2,
+            max_cones_per_depth=4, frame_width=128, frame_height=96,
+            stream=True, chunk_rows=2)
+        payload = workload.to_dict()
+        payload["stream_jobs"] = 4
+        tagged = Workload.from_dict(payload)
+        assert tagged == workload and hash(tagged) == hash(workload)
+        assert tagged.to_dict() == workload.to_dict()
+
+        reference = Session(store=str(tmp_path)).run(workload).to_dict()
+        warm = Session(store=str(tmp_path))
+        assert warm.run(tagged).to_dict() == reference
+        assert reference["options"]["stream_jobs"] is None
+        assert warm.stats.store_disk_hits == 1
+        assert warm.stats.store_writes == 0
+        assert ArtifactStore(str(tmp_path)).describe()["kinds"]["result"][
+            "artifacts"] == 1

@@ -1,7 +1,7 @@
 """Propagation-edge tests: spans must stay connected across every hop —
-HTTP (client -> server header), pool threads, shipped worker reports,
-and the full fleet path (submit -> route -> job -> dispatch -> stages ->
-stream shards) — while digests stay bit-identical with tracing on."""
+HTTP (client -> server header), pool threads, and the full fleet path
+(submit -> route -> job -> dispatch -> stages -> streamed exploration) —
+while digests stay bit-identical with tracing on."""
 
 import hashlib
 import json
@@ -153,79 +153,30 @@ class TestWorkerHandoff:
         # pool threads re-entered the captured context explicitly
         assert all(s["parent_id"] == run_many["span_id"] for s in runs)
 
-    def test_stream_shards_parent_under_the_explore_span(
-            self, stream_inputs):
-        explorer, space, characterizations, usable = stream_inputs
-        trace.enable()
-        with trace.span("root") as root:
-            explore_stream(space, characterizations,
-                           explorer.throughput_model, 128, 96,
-                           usable_luts=usable, chunk_rows=2,
-                           jobs=2, executor="threads")
-        spans = trace.global_store().get(root.trace_id)
-        explore = next(s for s in spans if s["name"] == "stream.explore")
-        shards = [s for s in spans if s["name"] == "stream.shard"]
-        assert len(shards) == 2
-        assert all(s["parent_id"] == explore["span_id"] for s in shards)
-        assert sum(s["attributes"]["chunks"] for s in shards) \
-            == explore["attributes"]["chunks"]
-
-    def test_cold_recorder_workers_ship_spans_through_the_report(
-            self, stream_inputs, monkeypatch):
-        """A process worker starts with the recorder off; its spans must
-        ride home inside the fold report (capture -> absorb).  Simulated
-        in-process by running each shard fold under a disabled recorder,
-        which is exactly the child interpreter's state."""
-        import repro.dse.stream as stream_mod
-
-        real_fold = stream_mod._fold_chunk_shard
-
-        def child_like(payload):
-            saved = (trace._ENABLED, trace._SINKS)
-            trace._ENABLED, trace._SINKS = False, ()
-            try:
-                return real_fold(payload)
-            finally:
-                trace._ENABLED, trace._SINKS = saved
-
-        monkeypatch.setattr(stream_mod, "_fold_chunk_shard", child_like)
-        explorer, space, characterizations, usable = stream_inputs
-        trace.enable()
-        with trace.span("root") as root:
-            explore_stream(space, characterizations,
-                           explorer.throughput_model, 128, 96,
-                           usable_luts=usable, chunk_rows=2,
-                           jobs=2, executor="threads")
-        spans = trace.global_store().get(root.trace_id)
-        shards = [s for s in spans if s["name"] == "stream.shard"]
-        explore = next(s for s in spans if s["name"] == "stream.explore")
-        assert len(shards) == 2  # absorbed, not recorded live
-        assert all(s["parent_id"] == explore["span_id"] for s in shards)
-
     def test_digests_are_bit_identical_with_tracing_on(
             self, stream_inputs):
         explorer, space, characterizations, usable = stream_inputs
         untraced = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=2,
-                                  jobs=2, executor="threads")
+                                  usable_luts=usable, chunk_rows=2)
         trace.enable()
-        with trace.span("root"):
+        with trace.span("root") as root:
             traced = explore_stream(space, characterizations,
                                     explorer.throughput_model, 128, 96,
-                                    usable_luts=usable, chunk_rows=2,
-                                    jobs=2, executor="threads")
+                                    usable_luts=usable, chunk_rows=2)
         assert serialized_points(traced.pareto) \
             == serialized_points(untraced.pareto)
         assert traced.admitted_rows == untraced.admitted_rows
+        explore = next(s for s in trace.global_store().get(root.trace_id)
+                       if s["name"] == "stream.explore")
+        assert explore["parent_id"] == root.span_id
+        assert explore["attributes"]["chunks"] == traced.chunks_total
 
 
 class TestFleetTrace:
     def test_one_fleet_submit_yields_one_connected_trace(self):
-        # same stream executor as the fleet workers' schedulers, so the
-        # result metadata (worker fan-out) matches bit-for-bit too
-        reference = digest(Session(stream_executor="threads").run(
-            workload(stream=True, chunk_rows=2, stream_jobs=2)))
+        reference = digest(Session().run(
+            workload(stream=True, chunk_rows=2)))
         # both runs start with a cold process-global mask cache, so the
         # streamed metadata (mask_cache_hit) matches too
         clear_stream_caches()
@@ -233,8 +184,7 @@ class TestFleetTrace:
             client = ReproClient(fleet)
             with trace.span("cli.submit") as root:
                 handle = client.submit(
-                    workload(stream=True, chunk_rows=2, stream_jobs=2),
-                    role="operator")
+                    workload(stream=True, chunk_rows=2), role="operator")
                 result = handle.result(timeout=120)
             assert digest(result) == reference
             assert handle.trace_id == root.trace_id
@@ -249,8 +199,6 @@ class TestFleetTrace:
             names = {s["name"] for s in spans}
             assert required <= names
             assert any(name.startswith("stage.") for name in names)
-            shards = [s for s in spans if s["name"] == "stream.shard"]
-            assert len(shards) >= 2
             # one trace id throughout, and every non-root span's parent
             # is present: the tree is fully connected
             assert all(s["trace_id"] == root.trace_id for s in spans)

@@ -129,7 +129,7 @@ class TestCaptureAbsorb:
         payload = {"trace_id": "c" * 32, "span_id": "d" * 16}
         with trace.capture(shipped):
             with trace.adopt(payload):
-                with trace.span("stream.shard", chunks=3):
+                with trace.span("executor.shard", workloads=3):
                     pass
         assert not trace.enabled()  # capture restored the previous state
         assert len(shipped) == 1
@@ -139,7 +139,7 @@ class TestCaptureAbsorb:
         store = recorded_store()
         assert trace.absorb(shipped) == 1
         assert trace.absorb([{"no": "trace_id"}, None]) == 0
-        assert [s["name"] for s in store.get("c" * 32)] == ["stream.shard"]
+        assert [s["name"] for s in store.get("c" * 32)] == ["executor.shard"]
 
 
 class TestTraceStore:

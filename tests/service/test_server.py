@@ -131,6 +131,30 @@ class TestHttpTransport:
         assert excinfo.value.code == 400
         assert "typical_clock_hz" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_malformed_chunk_rows_rejected_at_submit(self, value):
+        payload = workload().to_dict()
+        payload["chunk_rows"] = value
+        server = ReproServer(start=False)
+        try:
+            with pytest.raises(ValueError, match="chunk_rows"):
+                server.submit(payload)
+            assert server.queue.stats_snapshot()["submitted"] == 0
+        finally:
+            server.close(drain=False)
+
+    def test_malformed_chunk_rows_is_a_400(self, http_server):
+        _server, url = http_server
+        payload = workload().to_dict()
+        payload["chunk_rows"] = 1.5
+        request = urllib.request.Request(
+            url + "/submit", data=json.dumps({"workload": payload}).encode(),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert "chunk_rows" in json.loads(excinfo.value.read())["error"]
+
     def test_bad_url_scheme_rejected(self):
         with pytest.raises(ValueError):
             ReproClient("ftp://example.org")
