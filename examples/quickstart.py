@@ -14,9 +14,9 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    (``register_backend``) — ten lines, no ``repro`` module touched;
 5. point a session at a persistent store directory so a later process reruns
    the same workloads with zero synthesis;
-6. scale a batch with ``run_many(..., executor=...)`` — ``serial``,
-   ``threads`` (default), or ``processes``, which shards cold CPU-bound
-   sweeps across worker processes and returns byte-identical results;
+6. run a batch with ``run_many(..., max_workers=N)`` — one shared-session
+   thread pool (inline when ``N`` is 1) that shares characterizations
+   across the batch and returns byte-identical results at any pool size;
 7. sweep one kernel across devices *and* data formats in a single batch —
    every scenario is evaluated by the columnar engine
    (:mod:`repro.dse.engine`) against one shared architecture table, so the
@@ -48,15 +48,8 @@ Run with::
     python examples/quickstart.py
 
 The same flow is available from the shell: ``python -m repro explore blur``
-(add ``--store`` to persist across invocations, ``--executor processes
---jobs 4`` to fan a cold sweep out over worker processes).
-
-When to pick which executor: ``processes`` wins on *cold*, CPU-bound sweeps
-of several distinct kernels — characterization is pure Python, so threads
-are GIL-serialized while processes genuinely run in parallel.  ``threads``
-wins when the batch is warm (persistent-store hits are I/O-bound and a warm
-``processes`` run detects the hits and stays in-process anyway) or when all
-workloads share one kernel (one characterization key cannot be sharded).
+(add ``--store`` to persist across invocations); ``python -m repro sweep
+--algorithms blur,jacobi --jobs 2`` runs a batch on a two-thread pool.
 """
 
 from __future__ import annotations
@@ -162,18 +155,16 @@ def main() -> None:
               f"{warm.stats.store_disk_hits} disk hit(s)")
     print()
 
-    # 6. batch scheduling is pluggable: a cold multi-kernel sweep shards
-    #    across worker processes (the characterization work is CPU-bound
-    #    Python, so threads cannot overlap it), while warm batches are
-    #    answered in-process either way.  Results are byte-identical
-    #    whatever the strategy or worker count.
+    # 6. a batch runs on one shared-session thread pool of max_workers
+    #    threads (max_workers=1 runs it inline).  Workloads sharing a
+    #    characterization key synthesize it once; results come back in
+    #    input order, byte-identical whatever the pool size.
     batch = [workload.replace(algorithm=name)
              for name in ("blur", "jacobi", "heat")]
-    parallel = Session()
-    results = parallel.run_many(batch, executor="processes", max_workers=3)
-    print(f"process-sharded sweep: {len(results)} kernels explored, "
-          f"{parallel.stats.synthesis_runs} synthesis runs merged back "
-          f"into the parent session")
+    batched = Session()
+    results = batched.run_many(batch, max_workers=3)
+    print(f"batched sweep: {len(results)} kernels explored, "
+          f"{batched.stats.synthesis_runs} synthesis runs")
     print()
 
     # 7. multi-device / multi-format frontiers from one shared table: the

@@ -9,8 +9,8 @@
 # never with a test oracle (tests/oracles) in their import closure.  The
 # default and --fast modes also resolve every perfbench/layers.py hook
 # target and fail with the name of any that no longer exists in src/.
-#   scripts/check.sh --par      # process-parallel executor/store-stress
-#                               # tests only, plus marker-hygiene checks
+#   scripts/check.sh --par      # cross-process store-stress tests only,
+#                               # plus marker-hygiene checks
 #   scripts/check.sh --service  # service smoke: boot `python -m repro
 #                               # serve` on an ephemeral port, submit two
 #                               # workloads over HTTP, assert digests match
@@ -246,7 +246,7 @@ case "${1:-}" in
     shift
     python -m compileall -q src
     # The full observability suite first (span trees, header codec,
-    # capture/absorb handoff, typed exposition, propagation edges), then
+    # context handoff, typed exposition, propagation edges), then
     # the smoke script: the tracing-overhead gate (bit-neutral, <5%),
     # and a real `python -m repro serve` subprocess proving the
     # X-Repro-Trace header joins traces across a process boundary and

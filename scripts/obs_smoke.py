@@ -61,7 +61,7 @@ ADDRESS_PATTERN = re.compile(
 MAX_TRACE_OVERHEAD = 0.05
 
 #: Every tracer call the flow makes: span creation and recording, and the
-#: context handoffs between threads and processes.  Callers reach each one
+#: context handoffs between threads.  Callers reach each one
 #: through the ``trace`` module or class attribute, so patching it here
 #: times every call, and none calls another, so nothing is counted twice.
 #: The cost of building a span's arguments at the call site is not
@@ -69,9 +69,7 @@ MAX_TRACE_OVERHEAD = 0.05
 TRACER_ENTRY_POINTS = (
     (trace, "span"), (trace, "start_span"), (trace.Span, "finish"),
     (trace.Span, "context_payload"), (trace, "context_payload"),
-    (trace, "absorb"), (trace.adopt, "__enter__"),
-    (trace.adopt, "__exit__"), (trace.capture, "__enter__"),
-    (trace.capture, "__exit__"))
+    (trace.adopt, "__enter__"), (trace.adopt, "__exit__"))
 
 
 def overhead_workloads() -> "list[Workload]":
@@ -130,8 +128,7 @@ def check_trace_overhead(repeats: int = 3) -> None:
         started, started_cpu = time.perf_counter(), time.process_time()
         try:
             with trace.span("obs_smoke.batch"):
-                results = Session().run_many(workloads, max_workers=2,
-                                             executor="threads")
+                results = Session().run_many(workloads, max_workers=2)
         finally:
             wall = time.perf_counter() - started
             cpu = time.process_time() - started_cpu

@@ -67,15 +67,9 @@ resolved through :mod:`repro.api.registry`; plugins named in the
 ``REPRO_BACKENDS`` environment variable are imported first, so their
 synthesizers/estimators/devices are addressable from every subcommand.
 
-``explore`` and ``sweep`` additionally accept ``--executor
-{serial,threads,processes}`` and ``--jobs N`` to pick the batch scheduling
-strategy (any strategy registered under the ``executor`` backend kind is
-accepted).  Rule of thumb: ``processes`` wins on *cold*, CPU-bound sweeps of
-several distinct kernels (it sidesteps the GIL by sharding the batch across
-worker processes); ``threads`` (the default) is better for warm batches —
-persistent-store hits are I/O-bound, and a warm ``processes`` run detects
-the store hits and stays in-process anyway — and for single-kernel batches,
-which share one characterization and cannot be sharded.
+``sweep``, ``serve`` and ``fleet`` accept ``--jobs N`` to size the thread
+pool their ``run_many`` batches run on (default: auto; ``--jobs 1`` runs a
+batch inline on the calling thread).
 """
 
 from __future__ import annotations
@@ -144,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore = commands.add_parser(
         "explore", help="explore the design space of one algorithm")
     _add_workload_arguments(explore)
-    _add_executor_arguments(explore)
     explore.add_argument("--json", action="store_true",
                          help="emit the full FlowResult as JSON")
     explore.add_argument("-o", "--output", metavar="FILE",
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "materialize only the Pareto frontier)")
     sweep.add_argument("--chunk-rows", type=int, default=None, metavar="N",
                        help="rows materialized per streaming chunk")
-    _add_executor_arguments(sweep)
+    _add_jobs_argument(sweep)
     sweep.add_argument("--json", action="store_true",
                        help="emit per-workload summaries plus session stats "
                             "as JSON")
@@ -238,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds the scheduler lingers for a burst to "
                             "finish arriving before sealing a batch "
                             "(default: 0.05)")
-    _add_executor_arguments(serve)
+    _add_jobs_argument(serve)
     serve.add_argument("--store", metavar="DIR", nargs="?",
                        const=default_store_path(), default=None,
                        help="persist characterizations/results under DIR "
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="per-worker batch linger window "
                             "(default: 0.05)")
-    _add_executor_arguments(fleet)
+    _add_jobs_argument(fleet)
     fleet.add_argument("--store", metavar="DIR", nargs="?",
                        const=default_store_path(), default=None,
                        help="shared persistent store of the spawned "
@@ -398,14 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--executor", default="threads", metavar="NAME",
-                        help="batch scheduling strategy: serial, threads "
-                             "(default), processes (cold CPU-bound sweeps), "
-                             "or any registered executor backend")
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads/processes for the batch "
-                             "(default: auto)")
+                        help="worker threads per run_many batch "
+                             "(default: auto; 1 runs a batch inline)")
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser,
@@ -600,8 +589,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     session = _session(args)
     profiled = maybe_profile(args.profile)
     with profiled:
-        result = session.run_many([workload], max_workers=args.jobs,
-                                  executor=args.executor)[0]
+        result = session.run(workload)
     if profiled.output:
         print(f"profile written to {profiled.output}", file=sys.stderr)
     if args.json or args.output:
@@ -681,8 +669,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     session = _session(args)
     profiled = maybe_profile(args.profile)
     with profiled:
-        results = session.run_many(workloads, max_workers=args.jobs,
-                                   executor=args.executor)
+        results = session.run_many(workloads, max_workers=args.jobs)
     if profiled.output:
         print(f"profile written to {profiled.output}", file=sys.stderr)
     stats = session.stats
@@ -740,7 +727,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     session = _session(args)
     server = create_backend("service", args.backend, session=session,
-                            executor=args.executor,
                             max_workers=args.jobs,
                             max_batch=args.max_batch,
                             batch_window_s=args.batch_window,
@@ -754,7 +740,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           flush=True)
     if session.store is not None:
         print(f"  persistent store: {session.store.root}", file=sys.stderr)
-    print(f"  executor={args.executor} max_batch={args.max_batch} "
+    print(f"  jobs={args.jobs or 'auto'} max_batch={args.max_batch} "
           f"(POST /shutdown or Ctrl-C drains and stops)", file=sys.stderr)
     if args.announce:
         from repro.service.client import ReproClient
@@ -811,7 +797,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             args.workers, store=args.store, policy=policy,
             max_pending=args.max_pending, replicas=replicas,
             healthcheck_interval_s=args.healthcheck_interval,
-            executor=args.executor, max_workers=args.jobs,
+            max_workers=args.jobs,
             max_batch=args.max_batch, batch_window_s=args.batch_window)
     port = DEFAULT_PORT if args.port is None else args.port
     host, bound_port = router.serve_http(args.host, port)

@@ -8,13 +8,11 @@ characterization cache), so exploring the same kernel on several frame sizes,
 or sweeping constraints, never re-synthesizes a cone shape that has already
 been characterized.
 
-:meth:`Session.run_many` delegates batch scheduling to a pluggable execution
-strategy (:mod:`repro.api.executor`): ``serial`` runs in input order,
-``threads`` (the default) fans out over a shared-session thread pool, and
-``processes`` shards cold CPU-bound batches by characterization key across
-worker processes, merging results and store writes back through the
-session's :class:`ArtifactStore`.  Whatever the strategy or worker count,
-results come back in input order and are byte-identical to a serial run.
+:meth:`Session.run_many` runs a batch on one shared-session thread pool
+sized by ``max_workers``; a pool of one runs the batch inline on the
+calling thread.  Whatever the pool size, every workload runs, results come
+back in input order byte-identical to one-by-one :meth:`Session.run` calls,
+and the earliest failure in input order is re-raised after the batch.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.pipeline import (
     Pipeline,
@@ -134,6 +132,34 @@ _STORE_EVENT_COUNTERS = {"hit": "store_disk_hits", "miss": "store_disk_misses",
                          "write": "store_writes"}
 
 
+def validate_max_workers(max_workers: Optional[int]) -> Optional[int]:
+    """Reject worker counts that would otherwise be silently "repaired".
+
+    ``None`` means "size the pool automatically"; anything else must be a
+    positive integer — ``0``, negatives, bools, and fractional counts are
+    configuration errors, not requests for a default.
+    """
+    if max_workers is None:
+        return None
+    if isinstance(max_workers, bool) or not isinstance(max_workers, int):
+        raise ValueError(
+            f"max_workers must be a positive integer or None (got "
+            f"{max_workers!r})")
+    if max_workers < 1:
+        raise ValueError(
+            f"max_workers must be >= 1 (got {max_workers}); pass None to "
+            f"size the worker pool from os.cpu_count()")
+    return max_workers
+
+
+def resolve_worker_count(max_workers: Optional[int], batch_size: int) -> int:
+    """The effective pool size for a batch (validated, auto-sized, capped)."""
+    validate_max_workers(max_workers)
+    if max_workers is None:
+        max_workers = min(batch_size, max(2, (os.cpu_count() or 2)))
+    return max(1, min(max_workers, batch_size))
+
+
 class Session:
     """Runs workloads through the staged pipeline with process-wide caching.
 
@@ -183,8 +209,8 @@ class Session:
         #: counter per :class:`SessionStats` field (what :attr:`stats`
         #: reads) plus the stage-latency histogram.
         self.metrics = obs_metrics.MetricsRegistry()
-        #: Explorer totals of explorers no longer cached (evicted, or run
-        #: in a worker process); guarded by the registry lock.
+        #: Explorer totals of explorers no longer cached (evicted); guarded
+        #: by the registry lock.
         self._folded: Dict[str, float] = dict.fromkeys(_EXPLORER_TOTALS, 0)
         self._counters = {
             field.name: self.metrics.counter(
@@ -583,104 +609,53 @@ class Session:
         return cached
 
     def run_many(self, workloads: Sequence[Workload],
-                 max_workers: Optional[int] = None,
-                 executor: Union[str, "ExecutionStrategy", None] = None
-                 ) -> List[FlowResult]:
+                 max_workers: Optional[int] = None) -> List[FlowResult]:
         """Run a batch of workloads, sharing characterizations across them.
 
-        Results are returned in input order, byte-identical whatever the
-        strategy or worker count.  ``executor`` picks the scheduling
-        strategy — a name resolved through the ``executor`` kind of
-        :mod:`repro.api.registry` (built-ins: ``serial``, ``threads``,
-        ``processes``) or a strategy instance; the default is ``threads``.
-        ``max_workers`` must be a positive integer (or ``None`` for
-        auto-sizing); the first failure is re-raised after the batch
-        completes scheduling.  ``processes`` suits cold CPU-bound sweeps of
-        distinct kernels; warm batches — cached/stored results, or kernels
-        whose cone characterizations this session already holds in memory —
-        stay in-process either way (no pool startup).
+        The batch runs on a thread pool of ``max_workers`` threads over this
+        session (``None`` sizes it from ``os.cpu_count()``, capped at the
+        batch size); workloads sharing a characterization key serialize on
+        that key's lock, so its synthesis happens once.  A pool of one runs
+        the batch inline on the calling thread.  Whatever the pool size,
+        every workload runs, results are returned in input order and are
+        byte-identical to one-by-one :meth:`run` calls, and the earliest
+        failure in input order is re-raised once the whole batch is done.
         """
-        from repro.api.executor import resolve_strategy, validate_max_workers
-
-        validate_max_workers(max_workers)
         workloads = list(workloads)
+        workers = resolve_worker_count(max_workers, len(workloads))
         if not workloads:
             return []
-        strategy = resolve_strategy(executor)
-        with obs_trace.span(
-                "session.run_many", workloads=len(workloads),
-                executor=getattr(strategy, "name",
-                                 type(strategy).__name__)):
-            return list(strategy.run_batch(self, workloads,
-                                           max_workers=max_workers))
+        with obs_trace.span("session.run_many", workloads=len(workloads)):
+            # contextvars do not follow work into pool threads: capture the
+            # batch's trace context here and re-enter it around each run,
+            # so per-workload spans parent under the run_many span
+            context = obs_trace.context_payload()
 
-    # ------------------------------------------------------------------ #
-    # executor support (used by repro.api.executor strategies)
+            def run_one(workload: Workload
+                        ) -> Tuple[Optional[FlowResult], Optional[Exception]]:
+                with obs_trace.adopt(context):
+                    try:
+                        return self.run(workload), None
+                    except Exception as error:
+                        return None, error
 
-    def _has_local_result(self, workload: Workload) -> bool:
-        """Whether :meth:`run` would serve this workload without computing
-        (cached pipeline, promoted result, or persistent-store artifact) —
-        the probe the ``processes`` strategy uses to keep warm workloads
-        in-process instead of forking for them."""
-        with self._registry_lock:
-            pipeline = self._pipelines.get(workload)
-            if pipeline is not None and pipeline.has_run("pareto"):
-                return True
-            if workload in self._restored_results:
-                return True
-        if self._store is None:
-            return False
-        return self._store.has("result", self._result_store_key(workload))
-
-    def _prefers_in_process(self, workload: Workload) -> bool:
-        """Whether a batch executor should answer this workload in-process
-        instead of forking a worker for it.
-
-        True when a full result is already at hand (:meth:`_has_local_result`
-        — memory caches first, the persistent store second) *or* when this
-        session holds an explorer for the workload's characterization key
-        whose in-memory family cache already covers every depth family the
-        workload's iteration count needs: the expensive
-        synthesis/calibration work is done, a worker process could not see
-        it (it would re-characterize from scratch), and the remaining
-        per-frame exploration is cheaper than a pool startup.  Repeated
-        in-session batches — reruns, or new frame sizes over
-        already-characterized kernels — therefore never pay pool startup,
-        while an iteration count that introduces uncharacterized depth
-        families still counts as cold (forking genuinely parallelizes its
-        synthesis).
-        """
-        if self._has_local_result(workload):
-            return True
-        with self._registry_lock:
-            explorer = self._explorers.get(workload.characterization_key())
-        return (explorer is not None
-                and explorer.has_characterized(workload.iterations))
-
-    def _adopt_result(self, workload: Workload,
-                      result: FlowResult) -> FlowResult:
-        """Promote a worker-process result into the in-memory cache and
-        return the caller's isolated view of it."""
-        with self._registry_lock:
-            result = self._restored_results.setdefault(workload, result)
-        return _defensive_copy(result)
-
-    def _absorb_child_stats(self, payload: Mapping[str, Any]) -> None:
-        """Fold a worker-process session's ``SessionStats.to_dict()`` into
-        this session's counters (worker explorers die with their process, so
-        their already-folded totals arrive through the payload)."""
-        for name, counter in self._counters.items():
-            value = payload.get(name, 0)
-            if name in _EXPLORER_TOTALS:
-                with self._registry_lock:
-                    self._folded[name] += value
+            if workers == 1:
+                outcomes = [run_one(workload) for workload in workloads]
             else:
-                counter.inc(value)
+                with ThreadPoolExecutor(
+                        max_workers=workers,
+                        thread_name_prefix="repro-session") as pool:
+                    outcomes = list(pool.map(run_one, workloads))
+            for _, error in outcomes:
+                if error is not None:
+                    raise error
+        return [result for result, _ in outcomes]
 
     def _emit_batch_event(self, kind: str, workload: Workload,
                           elapsed_s: Optional[float] = None,
                           detail: str = "") -> None:
-        """Emit a workload lifecycle event on behalf of a batch executor."""
+        """Emit a lifecycle event on behalf of a batch dispatcher (the
+        service scheduler streams its ``job-*`` events through here)."""
         self._emit(_event(kind, workload, elapsed_s=elapsed_s,
                                 detail=detail))
 

@@ -81,23 +81,6 @@ class ArtifactStore:
     corrupt = property(lambda self: self._counters["corrupt"].value)
 
     # ------------------------------------------------------------------ #
-    # pickling (executor worker processes receive store handles)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle the root and a snapshot of the counters.
-
-        The on-disk contents are shared through the filesystem; the runtime
-        counters travel as a snapshot and diverge per process — exactly like
-        two independently constructed stores over one root.
-        """
-        return {"root": self.root, "counters": self.counters()}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        ArtifactStore.__init__(self, state["root"])
-        for name, value in state["counters"].items():
-            self._counters[name].inc(value)
-
-    # ------------------------------------------------------------------ #
     # addressing
 
     @staticmethod

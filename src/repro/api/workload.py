@@ -46,6 +46,21 @@ _NON_SHAPE_FIELDS = frozenset({"frame_width", "frame_height", "iterations",
                                "onchip_port_elements_per_cycle",
                                "stream", "chunk_rows"})
 
+#: Integer knobs that must be a plain ``int`` >= 1 (``None`` allowed for
+#: the optional ones, where it means "default").  The Equation-1 rule that
+#: ``calibration_windows_per_depth`` is >= 2 is checked at run time.
+_POSITIVE_INT_FIELDS = ("frame_width", "frame_height", "max_depth",
+                        "max_cones_per_depth",
+                        "calibration_windows_per_depth",
+                        "onchip_port_elements_per_cycle")
+_OPTIONAL_POSITIVE_INT_FIELDS = ("iterations", "chunk_rows")
+
+
+def _check_positive_int(name: str, value: Any) -> None:
+    """Reject a bool, a non-``int`` or a value < 1 with ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1 (got {value!r})")
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -97,16 +112,13 @@ class Workload:
             raise ValueError(
                 "a Workload needs exactly one of: algorithm (registry name), "
                 "c_source, or kernel")
-        if self.frame_width < 1 or self.frame_height < 1:
-            raise ValueError(
-                f"frame must be at least 1x1 (got "
-                f"{self.frame_width}x{self.frame_height})")
-        if self.chunk_rows is not None and (
-                isinstance(self.chunk_rows, bool)
-                or not isinstance(self.chunk_rows, int)
-                or self.chunk_rows < 1):
-            raise ValueError(f"chunk_rows must be an integer >= 1 or None "
-                             f"(got {self.chunk_rows!r})")
+        for name in _POSITIVE_INT_FIELDS:
+            _check_positive_int(name, getattr(self, name))
+        for name in _OPTIONAL_POSITIVE_INT_FIELDS:
+            if getattr(self, name) is not None:
+                _check_positive_int(name, getattr(self, name))
+        for side in self.window_sides:
+            _check_positive_int("window_sides entry", side)
         object.__setattr__(self, "window_sides",
                            tuple(sorted(set(self.window_sides))))
         # Always normalize: an already-tuple params value may still be

@@ -355,24 +355,6 @@ class DesignSpaceExplorer:
 
         return characterizations, validations
 
-    def has_characterized(self, total_iterations: int) -> bool:
-        """Whether every depth family ``total_iterations`` needs is already
-        in the in-memory family cache — i.e. :meth:`characterize_cones`
-        for that iteration count would perform zero synthesis runs.
-
-        Used by :meth:`repro.api.session.Session` batch scheduling to tell
-        genuinely warm reruns (answer in-process) from workloads whose
-        iteration count introduces depth families this explorer has not
-        paid for yet (worth forking for).
-        """
-        space = self._space(total_iterations)
-        by_depth: Dict[int, List[int]] = {}
-        for window, depth in space.distinct_shapes():
-            by_depth.setdefault(depth, []).append(window)
-        with self._cache_lock:
-            return all((depth, tuple(sorted(windows))) in self._family_cache
-                       for depth, windows in by_depth.items())
-
     def _characterize_family(self, depth: int, windows: Sequence[int]
                              ) -> Tuple[Dict[int, ConeCharacterization],
                                         AreaModelValidation]:

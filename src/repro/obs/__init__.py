@@ -8,8 +8,8 @@ never pull in test/plot/config frameworks.  Three modules:
     A ``Span`` tree with ids/parent-ids, wall+CPU timings, and typed
     attributes.  Context propagates through ``contextvars`` inside a
     process, through the ``X-Repro-Trace`` header across the
-    service/fleet HTTP hops, and through explicit picklable payloads
-    into ``run_many`` executor workers.  Spans
+    service/fleet HTTP hops, and through explicit context payloads
+    into ``run_many`` pool threads and service jobs.  Spans
     land in a ring-buffer :class:`~repro.obs.trace.TraceStore` and
     export as JSONL or Chrome ``trace_event`` JSON.
 

@@ -11,11 +11,9 @@ and a flat dict of typed attributes.  Three propagation edges:
   context through the ``X-Repro-Trace`` request header
   (``<32-hex trace>-<16-hex span>``); a malformed or absent header
   degrades to a fresh root span, never an error;
-* **worker handoff** — :func:`context_payload` produces a picklable
-  ``{"trace_id", "span_id", "pid"}`` dict that ``run_many`` executor
-  workers (pool threads and process shards) re-enter with :func:`adopt`;
-  spans recorded in a child process are captured with :func:`capture` and
-  re-anchored parent-side with :func:`absorb`.
+* **worker handoff** — :func:`context_payload` produces a plain
+  ``{"trace_id", "span_id", "pid"}`` dict that ``run_many`` pool threads
+  and service jobs re-enter with :func:`adopt`.
 
 Recording is off by default.  When disabled, :func:`span` returns a
 shared no-op handle and :func:`current_ids` short-circuits on one global
@@ -36,10 +34,10 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "TRACE_HEADER", "Span", "TraceStore", "absorb", "adopt", "auto_enable",
-    "capture", "context_payload", "current_ids", "disable", "enable",
-    "enabled", "global_store", "header_value", "parse_header", "span",
-    "start_span", "to_chrome_trace", "to_jsonl",
+    "TRACE_HEADER", "Span", "TraceStore", "adopt", "auto_enable",
+    "context_payload", "current_ids", "disable", "enable", "enabled",
+    "global_store", "header_value", "parse_header", "span", "start_span",
+    "to_chrome_trace", "to_jsonl",
 ]
 
 #: HTTP request header carrying the trace context across service hops.
@@ -349,49 +347,6 @@ class adopt:
             _CURRENT.reset(self._token)
             self._token = None
         return False
-
-
-class capture:
-    """Temporarily record spans into a plain list (worker-side).
-
-    Child processes start with recording disabled; ``with
-    capture(spans):`` turns it on with the list as an extra sink so the
-    worker can ship its spans back inside its result payload, where the
-    parent re-anchors them with :func:`absorb`.  Restores the previous
-    recorder state on exit.
-    """
-
-    __slots__ = ("_into", "_prev")
-
-    def __init__(self, into: List[Dict[str, Any]]) -> None:
-        self._into = into
-        self._prev = None
-
-    def __enter__(self) -> List[Dict[str, Any]]:
-        global _ENABLED, _SINKS
-        with _STATE_LOCK:
-            self._prev = (_ENABLED, _SINKS)
-            _SINKS = _SINKS + (self._into.append,)
-            _ENABLED = True
-        return self._into
-
-    def __exit__(self, *_exc) -> bool:
-        global _ENABLED, _SINKS
-        with _STATE_LOCK:
-            _ENABLED, _SINKS = self._prev
-        return False
-
-
-def absorb(spans: Optional[Iterable[Dict[str, Any]]]) -> int:
-    """Re-record span dicts shipped back from a worker process."""
-    if not spans or not _ENABLED:
-        return 0
-    count = 0
-    for item in spans:
-        if isinstance(item, dict) and "trace_id" in item:
-            _record(dict(item))
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------- #

@@ -23,8 +23,8 @@ sessions:
   jobs (same priority class) into one :meth:`Session.run_many` call, so a
   burst of multi-device/multi-format requests is re-costed against one
   cached :class:`~repro.architecture.enumeration.ArchitectureTable`
-  instead of running serially, with the batch executor pluggable through
-  the ``executor`` backend registry kind.
+  instead of running serially, on the session's ``run_many`` thread
+  pool.
 
 The server speaks two transports with one protocol: in-process method
 calls, and a minimal stdlib-only JSON endpoint over :mod:`http.server`

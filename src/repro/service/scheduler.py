@@ -4,19 +4,18 @@ One daemon thread drains the :class:`~repro.service.queue.JobQueue` and
 routes each batch through the shared session:
 
 * a batch of one is answered by :meth:`Session.run`;
-* a larger batch goes through :meth:`Session.run_many` with the
-  scheduler's executor strategy (any backend registered under the
-  ``executor`` registry kind — resolved once, at construction, so a typo
-  fails server startup instead of the first burst), which re-costs sibling
-  scenarios (devices/formats/frames of one kernel family) against the
-  shared columnar :class:`~repro.architecture.enumeration
+* a larger batch goes through :meth:`Session.run_many` on a pool of the
+  scheduler's ``max_workers`` threads (validated at construction, so a
+  bad count fails server startup instead of the first burst), which
+  re-costs sibling scenarios (devices/formats/frames of one kernel family)
+  against the shared columnar :class:`~repro.architecture.enumeration
   .ArchitectureTable` instead of running them serially.
 
-Failure attribution: ``run_many`` completes the whole batch before
-re-raising the earliest failure, so on a batch error the scheduler replays
-each member through ``Session.run`` — completed members are in-memory
-cache hits (no recompute), failing members raise individually — and every
-job ends in its own ``done``/``failed`` state.  One poisoned workload
+Failure attribution: ``run_many`` runs every member of the batch, at any
+pool size, before re-raising the earliest failure, so on a batch error the
+scheduler replays each member through ``Session.run`` — completed members
+are in-memory cache hits (no recompute), failing members raise
+individually — and every job ends in its own ``done``/``failed`` state.  One poisoned workload
 never takes its batch siblings down.
 """
 
@@ -24,12 +23,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional
 
 from collections import deque
 
-from repro.api.executor import resolve_strategy, validate_max_workers
-from repro.api.session import Session
+from repro.api.session import Session, validate_max_workers
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.service.jobs import Job
@@ -43,7 +41,6 @@ class Scheduler:
     """Owns the dispatcher thread between a queue and a session."""
 
     def __init__(self, session: Session, queue: JobQueue,
-                 executor: Union[str, object, None] = None,
                  max_workers: Optional[int] = None,
                  max_batch: int = 16,
                  batch_window_s: float = 0.0) -> None:
@@ -52,7 +49,6 @@ class Scheduler:
         validate_max_workers(max_workers)
         self._session = session
         self._queue = queue
-        self._strategy = resolve_strategy(executor)
         self._max_workers = max_workers
         self._max_batch = max_batch
         self._batch_window_s = batch_window_s
@@ -73,10 +69,6 @@ class Scheduler:
         gauge("repro_scheduler_max_batch", lambda: self._max_batch)
         gauge("repro_scheduler_batch_window_s", lambda: self._batch_window_s)
         gauge("repro_scheduler_mean_batch_size", self._mean_batch_size)
-
-    @property
-    def executor_name(self) -> str:
-        return getattr(self._strategy, "name", type(self._strategy).__name__)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -161,8 +153,7 @@ class Scheduler:
                                         jobs=len(jobs)):
                         results = self._session.run_many(
                             [job.workload for job in jobs],
-                            max_workers=self._max_workers,
-                            executor=self._strategy)
+                            max_workers=self._max_workers)
         except Exception as error:
             if len(jobs) == 1:
                 # nothing to attribute: fail the lone job directly instead
@@ -240,6 +231,5 @@ class Scheduler:
     def stats_snapshot(self) -> Dict[str, object]:
         """Atomic JSON-ready view of the dispatch instruments."""
         with self._lock:
-            return {"executor": self.executor_name,
-                    "recent_batch_sizes": list(self._batch_sizes),
+            return {"recent_batch_sizes": list(self._batch_sizes),
                     **self.metrics.values("repro_scheduler_")}

@@ -410,23 +410,24 @@ class TestCliStore:
     def test_cli_jobs_flag_reuses_the_stored_result(self, store_dir,
                                                     capsys):
         """``--jobs`` sizes the batch pool only, so it must not change the
-        workload: a rerun with it is served the artifact the first run
-        wrote instead of writing a duplicate."""
-        arguments = ["explore", "blur", "--frame", "128x96",
-                     "--iterations", "4", "--windows", "1,2,3",
+        workloads: a rerun with it is served the artifacts the first run
+        wrote instead of writing duplicates."""
+        arguments = ["sweep", "--algorithms", "blur,jacobi", "--frames",
+                     "128x96", "--iterations", "4", "--windows", "1,2,3",
                      "--max-depth", "2", "--quiet", "--store", store_dir,
                      "--json"]
         assert cli_main(arguments) == 0
         cold = json.loads(capsys.readouterr().out)
         results_before = ArtifactStore(store_dir).describe()["kinds"][
             "result"]["artifacts"]
-        assert results_before == 1
+        assert results_before == 2
 
         assert cli_main([*arguments, "--jobs", "2"]) == 0
         warm = json.loads(capsys.readouterr().out)
         assert ArtifactStore(store_dir).describe()["kinds"]["result"][
             "artifacts"] == results_before
-        assert warm == cold
+        assert warm["session"]["synthesis_runs"] == 0
+        assert warm["workloads"] == cold["workloads"]
 
     def test_cli_cache_stats_clear_export(self, store_dir, capsys):
         assert cli_main(["explore", "blur", "--frame", "128x96",

@@ -45,6 +45,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="chunk_rows"):
             Workload.from_algorithm("blur", chunk_rows=value)
 
+    @pytest.mark.parametrize("field", [
+        "frame_width", "frame_height", "iterations", "max_depth",
+        "max_cones_per_depth", "calibration_windows_per_depth",
+        "onchip_port_elements_per_cycle"])
+    @pytest.mark.parametrize("value", [True, 2.5, "4", 0, -3])
+    def test_integer_knobs_must_be_positive_ints(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Workload.from_algorithm("blur", **{field: value})
+
+    @pytest.mark.parametrize("sides", [(1.5,), (1, 0), (2, -1), (True,),
+                                       ("3",)])
+    def test_window_sides_entries_must_be_positive_ints(self, sides):
+        with pytest.raises(ValueError, match="window_sides"):
+            Workload.from_algorithm("blur", window_sides=sides)
+
+    def test_iterations_none_keeps_the_algorithm_default(self):
+        assert Workload.from_algorithm("blur", iterations=None).iterations \
+            == Workload.from_algorithm("blur").iterations
+
 
 class TestHashingAndEquality:
     def test_hashable_and_equal_across_instances(self):

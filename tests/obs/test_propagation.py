@@ -142,7 +142,7 @@ class TestWorkerHandoff:
         session = Session()
         with trace.span("root") as root:
             session.run_many([workload("blur"), workload("jacobi")],
-                             max_workers=2, executor="threads")
+                             max_workers=2)
         spans = trace.global_store().get(root.trace_id)
         names = [s["name"] for s in spans]
         assert "session.run_many" in names

@@ -1,5 +1,5 @@
 """Unit tests for repro.obs.trace: span trees, the header codec, the
-ring-buffer store, worker capture/absorb, and the exporters."""
+ring-buffer store, the context handoff, and the exporters."""
 
 import json
 import threading
@@ -90,9 +90,7 @@ class TestDisabledPath:
         assert trace.current_ids() == (None, None)
         assert trace.header_value() is None
 
-    def test_absorb_and_adopt_are_noops_when_disabled(self):
-        assert trace.absorb(None) == 0
-        assert trace.absorb([{"trace_id": "x"}]) == 0
+    def test_adopt_is_a_noop_when_disabled(self):
         with trace.adopt({"trace_id": "a" * 32, "span_id": "b" * 16}):
             assert trace.current_ids() == (None, None)
 
@@ -118,28 +116,6 @@ class TestHeaderCodec:
         value = "A" * 32 + "-" + "B" * 16
         parsed = trace.parse_header(value)
         assert parsed == {"trace_id": "a" * 32, "span_id": "b" * 16}
-
-
-class TestCaptureAbsorb:
-    def test_worker_capture_ships_spans_parent_absorbs(self):
-        # child-process side: recording starts disabled, capture() turns
-        # it on into a plain list the worker ships back in its report
-        assert not trace.enabled()
-        shipped = []
-        payload = {"trace_id": "c" * 32, "span_id": "d" * 16}
-        with trace.capture(shipped):
-            with trace.adopt(payload):
-                with trace.span("executor.shard", workloads=3):
-                    pass
-        assert not trace.enabled()  # capture restored the previous state
-        assert len(shipped) == 1
-        assert shipped[0]["trace_id"] == "c" * 32
-        assert shipped[0]["parent_id"] == "d" * 16
-        # parent side: absorb re-records into the live store
-        store = recorded_store()
-        assert trace.absorb(shipped) == 1
-        assert trace.absorb([{"no": "trace_id"}, None]) == 0
-        assert [s["name"] for s in store.get("c" * 32)] == ["executor.shard"]
 
 
 class TestTraceStore:

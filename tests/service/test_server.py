@@ -131,6 +131,40 @@ class TestHttpTransport:
         assert excinfo.value.code == 400
         assert "typical_clock_hz" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("field,value", [
+        ("frame_width", 2.5),
+        ("frame_height", 0),
+        ("iterations", 2.5),
+        ("max_depth", True),
+        ("max_depth", 0),
+        ("max_cones_per_depth", 2.5),
+        ("calibration_windows_per_depth", -1),
+        ("onchip_port_elements_per_cycle", 0),
+        ("window_sides", [1.5]),
+    ])
+    def test_malformed_integer_knob_rejected_at_submit(self, field, value):
+        payload = workload().to_dict()
+        payload[field] = value
+        server = ReproServer(start=False)
+        try:
+            with pytest.raises(ValueError, match=field):
+                server.submit(payload)
+            assert server.queue.stats_snapshot()["submitted"] == 0
+        finally:
+            server.close(drain=False)
+
+    def test_malformed_integer_knob_is_a_400(self, http_server):
+        _server, url = http_server
+        payload = workload().to_dict()
+        payload["max_depth"] = 0
+        request = urllib.request.Request(
+            url + "/submit", data=json.dumps({"workload": payload}).encode(),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert "max_depth" in json.loads(excinfo.value.read())["error"]
+
     @pytest.mark.parametrize("value", [True, 2.5])
     def test_malformed_chunk_rows_rejected_at_submit(self, value):
         payload = workload().to_dict()
